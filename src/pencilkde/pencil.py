@@ -157,48 +157,10 @@ def qz(pencil: HankelPencil) -> SchurPairs:
     )
 
 
-def real_pairs(pairs: SchurPairs) -> RealPairs:
-    """Keep finite real pairs; count discarded complex and infinite ones."""
-    n_complex = int(np.count_nonzero(~pairs.is_real))
-    s = pairs.s[pairs.is_real]
-    t = pairs.t[pairs.is_real]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = s / t
-    finite = np.isfinite(ratio)
-    n_infinite = int(np.count_nonzero(~finite))
-    return RealPairs(
-        s=s[finite],
-        t=t[finite],
-        ratio=ratio[finite],
-        n_complex=n_complex,
-        n_infinite=n_infinite,
-    )
-
-
-def _dselect(ar, ai, b):  # pragma: no cover - required callback, never used
-    return 0
-
-
-def real_pairs_fast(data: np.ndarray) -> RealPairs:
-    """build_pencil + qz + real_pairs without accumulating Schur vectors.
-
-    The LAPACK driver reports the 1x1 diagonal pairs directly through
-    (alphar, beta) and marks 2x2 complex blocks with alphai != 0; results are
-    identical to the full path, only the residual diagnostics are skipped.
-    """
-    pencil = build_pencil(data)
-    p = pencil.p
-    u1 = np.asfortranarray(pencil.u1)
-    u0 = np.asfortranarray(pencil.u0)
-    res = _lapack.dgges(_dselect, u1, u0, jobvsl=0, jobvsr=0, lwork=max(8 * p + 16, 1))
-    ar, ai, beta, info = res[3], res[4], res[5], res[-1]
-    if info != 0:
-        raise DecompositionError(f"generalized Schur iteration failed: dgges info={info}")
-    is_real = ai == 0.0
-    s_diag, t_diag = _normalize_signs(ar, beta, is_real)
+def _keep_real(s: np.ndarray, t: np.ndarray, is_real: np.ndarray) -> RealPairs:
     n_complex = int(np.count_nonzero(~is_real))
-    s = s_diag[is_real]
-    t = t_diag[is_real]
+    s = s[is_real]
+    t = t[is_real]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s / t
     finite = np.isfinite(ratio)
@@ -209,6 +171,36 @@ def real_pairs_fast(data: np.ndarray) -> RealPairs:
         n_complex=n_complex,
         n_infinite=int(np.count_nonzero(~finite)),
     )
+
+
+def real_pairs(pairs: SchurPairs) -> RealPairs:
+    """Keep finite real pairs; count discarded complex and infinite ones."""
+    return _keep_real(pairs.s, pairs.t, pairs.is_real)
+
+
+def real_pairs_fast(data: np.ndarray) -> RealPairs:
+    """build_pencil + qz + real_pairs from an eigenvalue-only QZ.
+
+    LAPACK dggev without eigenvectors permutes and reduces the pencil as the
+    generalized Schur routine does, then runs the QZ iteration with job 'E':
+    it updates only the active block and forms neither Schur vectors nor the
+    rest of S and T.  The diagonal arithmetic is the same, so (alphar, beta),
+    with alphai != 0 marking 2x2 complex blocks, are bit for bit the diagonal
+    pairs of the real generalized Schur form; only the residual diagnostics
+    are skipped.  The bits depend on dggev's default minimal workspace: an
+    optimal lwork switches LAPACK to blocked reductions for p >= 128.
+    scipy.linalg.qz, behind qz, queries that workspace, so this output equals
+    the full path only for p < 128.
+    """
+    pencil = build_pencil(data)
+    ar, ai, beta, _, _, _, info = _lapack.dggev(
+        pencil.u1, pencil.u0, compute_vl=0, compute_vr=0
+    )
+    if info != 0:
+        raise DecompositionError(f"generalized Schur iteration failed: dggev info={info}")
+    is_real = ai == 0.0
+    s_diag, t_diag = _normalize_signs(ar, beta, is_real)
+    return _keep_real(s_diag, t_diag, is_real)
 
 
 def vandermonde_solve(xi: np.ndarray, samples: np.ndarray) -> ExponentialFit:

@@ -1,11 +1,12 @@
 """End-to-end pipeline: config, deterministic runs, emitted files, CLI."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pencilkde import cli
+from pencilkde import cli, pencil
 from pencilkde.harness import (
     ExperimentConfig,
     PhaseError,
@@ -17,6 +18,7 @@ from pencilkde.harness import (
 from pencilkde.kde import empirical_density
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
 from pencilkde.pde import SingularPointError
+from pencilkde.pencil import DecompositionError
 
 MICRO_MODEL = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
 
@@ -447,3 +449,32 @@ class TestCli:
         assert cli.main(["modes", "--density", "d.csv", "--tau", "1.0"]) == 3
         monkeypatch.setattr(cli, "_cmd_modes", boom_validation)
         assert cli.main(["modes", "--density", "d.csv", "--tau", "1.0"]) == 2
+
+
+class TestDecompositionFailure:
+    """A QZ that does not converge (LAPACK info != 0) at every layer above it."""
+
+    @pytest.fixture(autouse=True)
+    def failing_qz(self, monkeypatch):
+        def dggev(a, b, **kwargs):
+            z = np.zeros(a.shape[0])
+            return z, z, z, None, None, None, 1
+
+        monkeypatch.setattr(pencil, "_lapack", SimpleNamespace(dggev=dggev))
+
+    def test_real_pairs_fast_raises(self):
+        with pytest.raises(DecompositionError, match="info=1"):
+            pencil.real_pairs_fast(generate(MICRO_MODEL, seed=7, r=0))
+
+    def test_run_reports_decompose_phase(self):
+        with pytest.raises(PhaseError) as info:
+            run(micro_config(threads=1))
+        assert info.value.phase == "decompose"
+        assert isinstance(info.value.cause, DecompositionError)
+
+    def test_simulate_exits_three(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(micro_config_dict(threads=1)))
+        code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "decompose" in capsys.readouterr().err

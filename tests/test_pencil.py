@@ -1,13 +1,16 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from pencilkde.multiexp import noiseless
+from pencilkde.harness import ExperimentConfig
+from pencilkde.multiexp import generate, noiseless
 from pencilkde.pencil import (
     build_pencil,
     error_scale,
@@ -18,6 +21,7 @@ from pencilkde.pencil import (
 )
 
 MODEL1_ZETA = np.array([0.8, 0.9, 0.95])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def model1_data():
@@ -138,6 +142,48 @@ class TestRealPairs:
             assert np.array_equal(full.t, fast.t)
             assert np.array_equal(full.ratio, fast.ratio)
             assert (full.n_complex, full.n_infinite) == (fast.n_complex, fast.n_infinite)
+
+
+def _dgges_real_pairs(d):
+    """Reference: LAPACK's Schur-form routine dgges with its minimal workspace."""
+    pencil = build_pencil(d)
+    p = pencil.p
+    res = lapack.dgges(
+        lambda ar, ai, b: 0, pencil.u1, pencil.u0, jobvsl=0, jobvsr=0, lwork=8 * p + 16
+    )
+    ar, ai, beta, info = res[3], res[4], res[5], res[-1]
+    assert info == 0
+    is_real = ai == 0.0
+    sign = np.where(is_real & (beta < 0.0), -1.0, 1.0)
+    s = (ar * sign)[is_real]
+    t = (beta * sign)[is_real]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s / t
+    finite = np.isfinite(ratio)
+    n_complex = int(np.count_nonzero(~is_real))
+    n_infinite = int(np.count_nonzero(~finite))
+    return s[finite], t[finite], ratio[finite], n_complex, n_infinite
+
+
+class TestFastPathBits:
+    """real_pairs_fast against dgges at the paper's pencil sizes.
+
+    scipy.linalg.qz queries the optimal workspace, which changes the last
+    bits at p >= 128, so the full qz path is no reference at model2's p = 163.
+    """
+
+    @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
+    def test_equals_dgges(self, name, n_rep, p):
+        config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
+        assert config.model.n == 2 * p
+        for r in range(n_rep):
+            d = generate(config.model, config.seed, r)
+            fast = real_pairs_fast(d)
+            s, t, ratio, n_complex, n_infinite = _dgges_real_pairs(d)
+            assert np.array_equal(fast.s, s)
+            assert np.array_equal(fast.t, t)
+            assert np.array_equal(fast.ratio, ratio)
+            assert (fast.n_complex, fast.n_infinite) == (n_complex, n_infinite)
 
 
 class TestVandermondeSolve:
