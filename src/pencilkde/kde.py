@@ -21,6 +21,8 @@ from .ratio_density import EqualVarSpec, _derivs_raw, _h_erf_raw
 
 # components per chunk when broadcasting kernels against evaluation grids
 CHUNK = 512
+# exp(u) is exactly 0.0 for u < -745.14; kernel supports end where u = -750
+_EXP_ZERO = 750.0
 # multi-start count for the reference fit
 N_STARTS = 6
 GL_NODES = 128
@@ -349,18 +351,13 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
     R = sample.R
 
     # E[1/sqrt(D)]: D at the eigenvalue's own position x = ratio
-    inv_sqrt = np.empty(pooled.size)
-    valid = np.zeros(pooled.size, dtype=bool)
-    for i, xi in enumerate(pooled):
-        co = _pde._poly_coeff_arrays(1.0, float(xi), rho)
-        d, _, _, den, scale = _pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi), co=co)
-        if abs(den) > _pde.EPS_DENOM * max(scale, 1e-300) and d > 0.0:
-            inv_sqrt[i] = 1.0 / math.sqrt(d)
-            valid[i] = True
+    d, den, scale = _pde._diffusion_at_centers(rho, t0, pooled)
+    valid = (np.abs(den) > _pde.EPS_DENOM * np.maximum(scale, 1e-300)) & (d > 0.0)
     skipped = int(np.count_nonzero(~valid))
     if not np.any(valid):
         raise ValueError("no component has positive diffusion at its center")
-    e_term = float((weights[valid] * inv_sqrt[valid]).sum() / weights[valid].sum())
+    inv_sqrt = 1.0 / np.sqrt(d[valid])
+    e_term = float((weights[valid] * inv_sqrt).sum() / weights[valid].sum())
 
     # || d/dt h ||_2^2 of the fitted reference density
     nodes, gl_w = _gl_nodes(window)
@@ -377,6 +374,35 @@ def bandwidth_t_star(sample: EigenSample, fit: FitResult, rho_hat: float, window
     return bandwidth_t_star_details(sample, fit, rho_hat, window)[0]
 
 
+def _kernel_supports(mu: np.ndarray, grid_x: np.ndarray, t: float, rho: float):
+    """(lo, hi): component k of the proposed mixture is exactly 0.0 off grid_x[lo[k]:hi[k]].
+
+    With c = 2 t _EXP_ZERO < 1, the constant (Cauchy) term of every component
+    is at most exp(-1 / (2 t)) < exp(-_EXP_ZERO), exactly 0.0, and its
+    Gaussian factor exp(-(mu - x)^2 / (2 t q(x))), q = x^2 - 2 rho x + 1, is
+    exactly 0.0 outside the roots of (1 - c) x^2 - 2 (mu - c rho) x + mu^2 - c,
+    where the exponent drops below -_EXP_ZERO. The roots are widened a little
+    against their own rounding; a component whose roots are not finite, and
+    every component when c >= 1, keeps the whole grid.
+    """
+    lo = np.zeros(mu.size, dtype=np.intp)
+    hi = np.full(mu.size, grid_x.size, dtype=np.intp)
+    c = 2.0 * t * _EXP_ZERO
+    if c >= 1.0:
+        return lo, hi
+    centre = mu - c * rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        # discriminant c q(mu) - c^2 (1 - rho^2), written without cancellation
+        half = np.sqrt(c * ((mu - rho) ** 2 + (1.0 - rho * rho) * (1.0 - c)))
+        pad = 1e-9 * (np.abs(centre) + half)
+        left = (centre - half - pad) / (1.0 - c)
+        right = (centre + half + pad) / (1.0 - c)
+    band = np.isfinite(left) & np.isfinite(right)
+    lo[band] = np.searchsorted(grid_x, left[band], side="left")
+    hi[band] = np.searchsorted(grid_x, right[band], side="right")
+    return lo, hi
+
+
 def proposed_estimate(
     sample: EigenSample, grid_x: np.ndarray, t_star: float, rho: float
 ) -> DensityGrid:
@@ -385,6 +411,12 @@ def proposed_estimate(
     Component k of replication r contributes weight 1/(R p_r) times the
     equal-variance density with unit denominator mean, numerator mean equal
     to the eigenvalue ratio, and the pooled correlation rho.
+
+    Each component is evaluated only on its support (_kernel_supports), where
+    its value is not provably 0.0, and chunks whose supports all cover the
+    grid are evaluated densely. Each grid point sums its values in component
+    order, the order of the dense column sums, so skipping the exact zeros
+    leaves the bits unchanged.
     """
     if t_star <= 0.0:
         raise ValueError(f"bandwidth t* must be positive, got {t_star}")
@@ -400,8 +432,17 @@ def proposed_estimate(
             continue
         acc = np.zeros(grid_x.size)
         for k in range(0, pts.size, CHUNK):
-            mu = pts[k : k + CHUNK, None]
-            acc += _h_erf_raw(grid_x[None, :], t_star, 1.0, mu, rho).sum(axis=0)
+            mu = pts[k : k + CHUNK]
+            lo, hi = _kernel_supports(mu, grid_x, t_star, rho)
+            width = hi - lo
+            if np.all(width == grid_x.size):
+                acc += _h_erf_raw(grid_x[None, :], t_star, 1.0, mu[:, None], rho).sum(axis=0)
+                continue
+            # (component, grid index) of every support point, component-major
+            rows = np.repeat(np.arange(mu.size), width)
+            cols = np.arange(rows.size) + np.repeat(lo - (np.cumsum(width) - width), width)
+            vals = _h_erf_raw(grid_x[cols], t_star, 1.0, mu[rows], rho)
+            acc += np.bincount(cols, weights=vals, minlength=grid_x.size)
         y += acc / (R * pts.size)
     return DensityGrid(x=grid_x, y=y)
 

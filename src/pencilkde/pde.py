@@ -125,6 +125,28 @@ def polynomial_coefficients(spec: EqualVarSpec) -> dict:
     return _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
 
 
+def _p3_factor(nv, nw, r) -> list:
+    """Ascending coefficients of the cubic with P3 = (1 - 2 r x + x^2)^2 * cubic.
+
+    Entries broadcast, so nw may be an array of numerator means.
+    """
+    return [nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r]
+
+
+def _q_coeffs(nv, nw, r) -> tuple:
+    """Ascending coefficient lists of Q1 and Q2; entries broadcast like _p3_factor."""
+    s1 = 2.0 * (1.0 - r * r) * (nw - nv * r)
+    s2 = 2.0 * (r * r - 1.0)
+    q1 = [s1 * (nw * nw), s1 * (-2.0 * nv * nw), s1 * (nv * nv)]
+    q2 = [
+        s2 * (nw * (1.0 + 3.0 * r * r) - nv * r),
+        s2 * (-8.0 * nw * r - nv * r * r),
+        s2 * (4.0 * nw + 5.0 * nv * r),
+        s2 * (-3.0 * nv),
+    ]
+    return q1, q2
+
+
 def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
     pm = np.polynomial.polynomial.polymul
     quad = np.array([1.0, -2.0 * r, 1.0])  # 1 - 2 r x + x^2
@@ -140,19 +162,8 @@ def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
         ]
     )
     p2 = pm(quad, inner2)
-    p3 = pm(
-        pm(quad, quad),
-        np.array([nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r]),
-    )
-    q1 = 2.0 * (1.0 - r * r) * (nw - nv * r) * wmvx2
-    q2 = 2.0 * (r * r - 1.0) * np.array(
-        [
-            nw * (1.0 + 3.0 * r * r) - nv * r,
-            -8.0 * nw * r - nv * r * r,
-            4.0 * nw + 5.0 * nv * r,
-            -3.0 * nv,
-        ]
-    )
+    p3 = pm(pm(quad, quad), np.array(_p3_factor(nv, nw, r)))
+    q1, q2 = (np.array(c) for c in _q_coeffs(nv, nw, r))
     pd = np.polynomial.polynomial.polyder
     return {
         "p1": p1,
@@ -164,6 +175,36 @@ def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
         "dq1": pd(q1),
         "dq2": pd(q2),
     }
+
+
+def _diffusion_at_centers(rho: float, t: float, x):
+    """(D, denom, denom_scale) of each unit-denominator pair at its own centre.
+
+    Entry k is _coeffs_raw(1.0, x[k], rho, t, x[k]) for the diffusion
+    coefficient D = P3 / (Q1 + t Q2), bit for bit, computed for all k at
+    once: Horner runs across the whole array and the rho-only square of
+    1 - 2 rho x + x^2 is formed once. P3 keeps one polymul per entry, because
+    np.convolve sums through BLAS dot, whose rounding a hand-written sum does
+    not reproduce.
+    """
+    x = np.asarray(x, dtype=float)
+    pm = np.polynomial.polynomial.polymul
+    pv = np.polynomial.polynomial.polyval
+    quad = np.array([1.0, -2.0 * rho, 1.0])
+    quad2 = pm(quad, quad)
+    # polymul trims zero leading coefficients; zero padding evaluates the same
+    p3c = np.zeros((quad2.size + 2, x.size))
+    for k, cubic in enumerate(np.stack(_p3_factor(1.0, x, rho), axis=1)):
+        c = pm(quad2, cubic)
+        p3c[: c.size, k] = c
+    q1c, q2c = (np.array(np.broadcast_arrays(*c)) for c in _q_coeffs(1.0, x, rho))
+    p3 = pv(x, p3c, tensor=False)
+    q1 = pv(x, q1c, tensor=False)
+    q2 = pv(x, q2c, tensor=False)
+    den = q1 + t * q2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = p3 / den
+    return diff, den, np.maximum(np.abs(q1), np.abs(t * q2))
 
 
 def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:

@@ -128,14 +128,17 @@ def qz(pencil: HankelPencil) -> SchurPairs:
 
     Returns the diagonal pairs with realness flags and residual diagnostics:
     the worst orthogonality defect of Q and Z, and the relative
-    reconstruction error of both matrices.
+    reconstruction error of both matrices. The workspace is LAPACK's minimal
+    one, so the diagonal pairs are bit for bit those of real_pairs_fast at
+    every p; the optimal workspace switches to blocked reductions from
+    p = 128 on, which changes their last bits.
     """
+    p = pencil.p
     try:
-        s_mat, t_mat, q, z = _sla.qz(pencil.u1, pencil.u0, output="real")
+        s_mat, t_mat, q, z = _sla.qz(pencil.u1, pencil.u0, output="real", lwork=8 * p + 16)
     except Exception as exc:  # scipy raises LinAlgError-ish on no convergence
         raise DecompositionError(f"generalized Schur iteration failed: {exc}") from exc
 
-    p = pencil.p
     eye = np.eye(p)
     q_orth = max(
         np.linalg.norm(q.T @ q - eye, "fro"), np.linalg.norm(z.T @ z - eye, "fro")
@@ -188,9 +191,8 @@ def real_pairs_fast(data: np.ndarray) -> RealPairs:
     with alphai != 0 marking 2x2 complex blocks, are bit for bit the diagonal
     pairs of the real generalized Schur form; only the residual diagnostics
     are skipped.  The bits depend on dggev's default minimal workspace: an
-    optimal lwork switches LAPACK to blocked reductions for p >= 128.
-    scipy.linalg.qz, behind qz, queries that workspace, so this output equals
-    the full path only for p < 128.
+    optimal lwork switches LAPACK to blocked reductions for p >= 128.  qz
+    passes the same minimal workspace, so its pairs equal these at every p.
     """
     pencil = build_pencil(data)
     ar, ai, beta, _, _, _, info = _lapack.dggev(

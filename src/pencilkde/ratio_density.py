@@ -22,6 +22,8 @@ from .specfun import hyp1f1_half_scaled, moment_recurrence, scaled_moments
 
 TWO_PI = 2.0 * math.pi
 _SQRT_PI = math.sqrt(math.pi)
+# erf is exactly +-1.0 in double precision beyond this |z|
+_ERF_ONE = 6.0
 
 __all__ = [
     "GeneralGaussianSpec",
@@ -174,13 +176,30 @@ def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
     )
 
 
+def _erf(z):
+    """scipy.special.erf, called only where its value is not exactly +-1.0.
+
+    scipy's erf rounds to exactly +-1.0 from |z| >= 5.9216 on, so beyond
+    _ERF_ONE the sign is the whole answer; NaN still goes to erf.
+    """
+    z = np.asarray(z)
+    saturated = np.abs(z) >= _ERF_ONE
+    if not saturated.any():
+        return _special.erf(z)
+    out = np.copysign(1.0, z)
+    rest = ~saturated
+    if rest.any():
+        out[rest] = _special.erf(z[rest])
+    return out
+
+
 def _h_erf_raw(x, t, nu_v, nu_w, rho):
     """Elementary erf closed form of the equal-variance density; broadcasts."""
     q = x * x - 2.0 * rho * x + 1.0
     lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
     one_m_r2 = 1.0 - rho * rho
     gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(TWO_PI * t * q)
-    term1 = gauss * (lin / q) * _special.erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
+    term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
     term2 = (
         np.sqrt(one_m_r2)
         / (np.pi * q)

@@ -33,6 +33,8 @@ from pencilkde.specfun import MomentParams, moment_L, moment_recurrence
 
 from conftest import random_equal_var_spec, random_general_spec, term_relative_residual
 
+pytestmark = pytest.mark.acceptance
+
 MODEL1_TRUTH = np.array([0.8, 0.9, 0.95])
 MODEL2_TRUTH = np.array([0.88, 0.90, 0.91, 0.92, 0.94])
 

@@ -1,12 +1,14 @@
 """Condensed-density estimators: histogram, Gaussian baseline, PDE mixture."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import special
 
-from pencilkde import kde
+from pencilkde import kde, pde, ratio_density
 from pencilkde.kde import (
     DensityGrid,
     EigenSample,
@@ -22,7 +24,7 @@ from pencilkde.kde import (
     pooled_correlation,
     proposed_estimate,
 )
-from pencilkde.ratio_density import EqualVarSpec, density_equal_var
+from pencilkde.ratio_density import EqualVarSpec, _derivs_raw, _h_erf_raw, density_equal_var
 
 from conftest import term_relative_residual
 
@@ -38,6 +40,58 @@ def reference_sample(seed, size, spec):
     cov = spec.t * np.array([[1.0, spec.rho], [spec.rho, 1.0]])
     vw = rng.multivariate_normal([spec.nu_v, spec.nu_w], cov, size=size, method="cholesky")
     return EigenSample(s=[vw[:, 1]], t=[vw[:, 0]], ratio=[vw[:, 1] / vw[:, 0]])
+
+
+def loop_t_star_details(sample, fit, rho_hat, window):
+    """Reference: the per-eigenvalue loop bandwidth_t_star_details replaced."""
+    t0, rho = float(fit.t0), float(rho_hat)
+    pooled, weights = sample.pooled()
+    inv_sqrt = np.empty(pooled.size)
+    valid = np.zeros(pooled.size, dtype=bool)
+    for i, xi in enumerate(pooled):
+        co = pde._poly_coeff_arrays(1.0, float(xi), rho)
+        d, _, _, den, scale = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi), co=co)
+        if abs(den) > pde.EPS_DENOM * max(scale, 1e-300) and d > 0.0:
+            inv_sqrt[i] = 1.0 / math.sqrt(d)
+            valid[i] = True
+    e_term = float((weights[valid] * inv_sqrt[valid]).sum() / weights[valid].sum())
+    nodes, gl_w = kde._gl_nodes(window)
+    h_t, _, _ = _derivs_raw(nodes, t0, 1.0, fit.mu0, fit.rho0)
+    norm_term = float((h_t * h_t) @ gl_w)
+    t_star = (e_term / (2.0 * sample.R * math.sqrt(math.pi) * norm_term)) ** 0.4
+    return t_star, int(np.count_nonzero(~valid))
+
+
+@contextmanager
+def plain_erf():
+    """Route the kernel's erf to scipy.special.erf everywhere, unsaturated."""
+    saved = ratio_density._erf
+    ratio_density._erf = special.erf
+    try:
+        yield
+    finally:
+        ratio_density._erf = saved
+
+
+def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
+    """Reference: the dense chunked mixture proposed_estimate replaced, plain erf."""
+    y = np.zeros(grid_x.size)
+    with plain_erf():
+        for pts in sample.ratio:
+            if pts.size == 0:
+                continue
+            acc = np.zeros(grid_x.size)
+            for k in range(0, pts.size, chunk):
+                mu = pts[k : k + chunk, None]
+                acc += _h_erf_raw(grid_x[None, :], t_star, 1.0, mu, rho).sum(axis=0)
+            y += acc / (sample.R * pts.size)
+    return y
+
+
+def replications(rng, sizes, lo, hi):
+    ratio = [rng.uniform(lo, hi, n) for n in sizes]
+    ones = [np.ones_like(r) for r in ratio]
+    return EigenSample(s=[r.copy() for r in ratio], t=ones, ratio=ratio)
 
 
 class TestEigenSample:
@@ -315,6 +369,23 @@ class TestBandwidthTStar:
         _, skipped = bandwidth_t_star_details(sample, self.fit(), 0.9, self.WINDOW)
         assert skipped == 1
 
+    @pytest.mark.parametrize("rho", [-0.6, 0.0, 0.3, 0.99])
+    def test_matches_per_eigenvalue_loop(self, rng, rho):
+        sample = replications(rng, rng.integers(0, 12, 40), 0.4, 1.4)
+        for t0 in (1e-4, 0.05, 2.0):
+            fit = self.fit(t0=t0, rho0=rho)
+            got = bandwidth_t_star_details(sample, fit, rho, self.WINDOW)
+            assert got == loop_t_star_details(sample, fit, rho, self.WINDOW)
+
+    def test_matches_loop_with_skipped_components(self, rng):
+        # x = rho makes the leading P3 coefficient vanish, so polymul trims it
+        sample = replications(rng, [30, 5, 0, 17], 0.3, 1.2)
+        sample.ratio[1][0] = 0.9
+        fit = self.fit()
+        got = bandwidth_t_star_details(sample, fit, 0.9, self.WINDOW)
+        assert got[1] > 0
+        assert got == loop_t_star_details(sample, fit, 0.9, self.WINDOW)
+
     def test_all_components_skipped(self):
         with pytest.raises(ValueError):
             bandwidth_t_star(single_replication([0.9]), self.fit(), 0.9, self.WINDOW)
@@ -374,6 +445,51 @@ class TestProposedEstimate:
         yb = proposed_estimate(b, grid, 0.01, 0.4).y
         ym = proposed_estimate(merged, grid, 0.01, 0.4).y
         assert np.array_equal(ym, (ya + yb) / 2.0)
+
+    @pytest.mark.parametrize(
+        "t_star, rho",
+        [
+            (3.8e-5, 0.99),  # model2-like: most of each row is banded away
+            (1e-9, 0.3),  # every row banded to a few points or none
+            (2e-4, -0.7),
+            (1.0 / 1500.0, 0.99),  # 2 t 750 = 1: no band
+            (2e-3, -0.9),  # 2 t 750 > 1 although every Cauchy term is 0.0
+            (0.012, 0.5),  # model1-like: no band
+        ],
+    )
+    def test_matches_dense_chunked_mixture(self, rng, t_star, rho):
+        grid = np.linspace(0.85, 0.96, 2048)
+        sample = replications(rng, rng.integers(0, 10, 30), 0.8, 1.0)
+        got = proposed_estimate(sample, grid, t_star, rho).y
+        assert np.array_equal(got, dense_proposed(sample, grid, t_star, rho))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_matches_dense_with_all_zero_rows(self, rng):
+        # centres far off the grid give rows that are exactly 0.0 throughout;
+        # one replication lies wholly outside, one centre has infinite roots
+        grid = np.linspace(0.85, 0.96, 1024)
+        sample = replications(rng, [6, 4, 5], 0.84, 0.97)
+        sample.ratio[0][:3] = [5.0, -3.0, 1e200]
+        sample.ratio[1][:] = [2.0, 2.5, -1.0, 40.0]
+        for t_star in (3.8e-5, 1e-9):
+            got = proposed_estimate(sample, grid, t_star, 0.95).y
+            assert np.array_equal(got, dense_proposed(sample, grid, t_star, 0.95))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centre_still_rejected(self, bad):
+        # the dense mixture turns such a row into NaN; no support may hide it
+        sample = single_replication([0.9, bad])
+        grid = np.linspace(0.85, 0.96, 64)
+        with pytest.raises(ValueError):
+            proposed_estimate(sample, grid, 1e-9, -0.3)
+
+    def test_matches_dense_beyond_one_chunk(self, rng):
+        grid = np.linspace(0.5, 1.3, 200)
+        sample = replications(rng, [kde.CHUNK + 300, 3], 0.4, 1.4)
+        for t_star in (1e-5, 0.01):
+            got = proposed_estimate(sample, grid, t_star, 0.4).y
+            assert np.array_equal(got, dense_proposed(sample, grid, t_star, 0.4))
 
     def test_component_evolution_residuals(self):
         # five random components at pipeline-like correlation and bandwidths

@@ -166,10 +166,10 @@ def _dgges_real_pairs(d):
 
 
 class TestFastPathBits:
-    """real_pairs_fast against dgges at the paper's pencil sizes.
+    """real_pairs_fast against dgges and qz at the paper's pencil sizes.
 
-    scipy.linalg.qz queries the optimal workspace, which changes the last
-    bits at p >= 128, so the full qz path is no reference at model2's p = 163.
+    An optimal LAPACK workspace changes the last bits at p >= 128, so both
+    references must run with the minimal one at model2's p = 163.
     """
 
     @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
@@ -184,6 +184,18 @@ class TestFastPathBits:
             assert np.array_equal(fast.t, t)
             assert np.array_equal(fast.ratio, ratio)
             assert (fast.n_complex, fast.n_infinite) == (n_complex, n_infinite)
+
+    def test_qz_equals_fast_at_model2_size(self):
+        config = ExperimentConfig.from_json_file(CONFIGS / "model2.json")
+        assert config.model.n == 2 * 163
+        for r in range(5):
+            d = generate(config.model, config.seed, r)
+            fast = real_pairs_fast(d)
+            full = real_pairs(qz(build_pencil(d)))
+            assert np.array_equal(full.s, fast.s)
+            assert np.array_equal(full.t, fast.t)
+            assert np.array_equal(full.ratio, fast.ratio)
+            assert (full.n_complex, full.n_infinite) == (fast.n_complex, fast.n_infinite)
 
 
 class TestVandermondeSolve:

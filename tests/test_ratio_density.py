@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from pencilkde.ratio_density import (
+    _erf,
     EqualVarSpec,
     GeneralGaussianSpec,
     abc_equal_var,
@@ -164,6 +165,41 @@ class TestDensityEqualVar:
                 b = density_equal_var_hyp(spec, x)
                 assert math.isfinite(b)
                 assert b == pytest.approx(a, rel=1e-10)
+
+
+class TestSaturatedErf:
+    """_erf skips scipy's erf where it is exactly +-1.0; the bits must not move."""
+
+    @staticmethod
+    def assert_same_bits(z):
+        got = np.asarray(_erf(z))
+        want = special.erf(z)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got.view(np.uint64), np.asarray(want).view(np.uint64))
+
+    def test_fine_sweep_around_the_cutoff(self):
+        z = np.linspace(5.5, 7.0, 150_001)
+        self.assert_same_bits(np.concatenate([z, -z]))
+
+    def test_large_magnitudes(self):
+        z = np.logspace(3.0, 300.0, 2_971)
+        self.assert_same_bits(np.concatenate([z, -z]))
+
+    def test_infinities_and_signed_zeros(self):
+        self.assert_same_bits(np.array([np.inf, -np.inf, 0.0, -0.0, 0.5, 6.5]))
+
+    def test_nan_stays_nan(self):
+        got = _erf(np.array([np.nan, 7.0, -np.nan, 0.1]))
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == 1.0 and got[3] == special.erf(0.1)
+
+    @pytest.mark.parametrize("z", [0.5, -5.9, 6.0, -7.0, 1e300, np.nan])
+    def test_scalar_arguments(self, z):
+        got, want = _erf(np.float64(z)), special.erf(z)
+        assert np.shape(got) == ()
+        assert (math.isnan(got) and math.isnan(want)) or (
+            got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        )
 
 
 class TestDensityScaled:
