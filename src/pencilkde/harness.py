@@ -411,5 +411,11 @@ def emit(report: ExperimentReport, out_dir) -> list:
         },
         "timings": report.timings,
     }
+    if report.fit is not None:
+        metadata["fit"] = {
+            "nfev": list(report.fit.nfev),
+            "converged_starts": report.fit.n_converged,
+            "at_t_cap": report.fit.at_t_cap,
+        }
     _write(out / "metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
     return written

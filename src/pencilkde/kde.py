@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize as _opt
 
 from . import pde as _pde
-from .ratio_density import EqualVarSpec, _derivs_raw, _h_erf_raw
+from .ratio_density import TWO_PI, EqualVarSpec, _derivs_raw, _erf, _h_erf_raw
 
 # components per chunk when broadcasting kernels against evaluation grids
 CHUNK = 512
@@ -133,6 +133,11 @@ class FitResult:
     rho0: float
     objective: float
     converged: bool = True
+    # diagnostics for metadata.json: objective evaluations per start, starts
+    # that converged, and whether t0 sits at the variance cap span^2
+    nfev: tuple = ()
+    n_converged: int = 0
+    at_t_cap: bool = False
 
 
 def _bin_grid(window, bins: int):
@@ -235,6 +240,8 @@ def pooled_correlation(sample: EigenSample) -> float:
 # transform bounds: t in [1e-18, 1e18], |rho| <= 1 - 1e-10
 _LOG_T_CAP = 41.0
 _ARHO_CAP = 11.8
+# t0 within this relative distance of t_cap counts as pinned at the cap
+_CAP_RTOL = 1e-6
 
 
 def _theta_to_params(theta):
@@ -244,14 +251,117 @@ def _theta_to_params(theta):
     return t, float(mu), rho
 
 
+class _FitObjective:
+    """The reference fit's objective on one histogram, evaluated in place.
+
+    Per grid point it does the IEEE operations of _h_erf_raw(centers, t, 1.0,
+    mu, rho) and of the squared-residual sum, into four preallocated buffers,
+    with four shortcuts that keep every bit: the multiplications by nu_v = 1.0
+    are left out; the exponent's negation moves into the scalar,
+    d^2 / ((-2t) q), as IEEE division is sign-symmetric; the Cauchy term is
+    left out when its scalar exp(...) is 0.0, since it is then +0.0
+    (q >= 1 - rho^2 > 0) and term1 is never -0.0; and erf is left out where
+    _saturated_sign proves it is sign(lin) at every grid point.
+    """
+
+    def __init__(self, centers, target, width, t_cap):
+        self.centers = centers
+        self.centers_sq = centers * centers
+        self.target = target
+        self.width = width
+        self.t_cap = t_cap
+        self._q, self._lin, self._a, self._b = (np.empty(centers.size) for _ in range(4))
+        # (1 + X) for the largest |x|, which the increasing grid has at an end
+        self._one_x = 1.0 + max(abs(float(centers[0])), abs(float(centers[-1])))
+
+    def _saturated_sign(self, c, mu):
+        """s = +-1.0 when erf(lin_i / sqrt(c q_i)) is exactly s at every point, else 0.0.
+
+        With u = 2^-53 and X = max |x|:
+        - lin: the computed lin_i is within E = 4u (1 + X)(1 + |mu|) of the
+          linear l(x) = (1 - rho x) + mu (x - rho) (five roundings, |rho| < 1).
+          If both computed ends have sign s and m = min |lin_end| >= 200 E,
+          then s l >= m - E on the whole grid, and s lin_i >= m - 2E >= 0.99 m,
+          however near the grid l has its root.
+        - q: the computed q_i is within 4u (1 + X)^2 of the convex
+          q(x) = (x - rho)^2 + 1 - rho^2, so q_i <= q_max + 8u (1 + X)^2 with
+          q_max the larger computed end. As q >= (|x| - 1)^2 and, under the
+          rho cap, q >= 1 - rho^2 >= 2.25e-10, (1 + X)^2 <= 7.2e10 q_max, so
+          q_i <= q_max (1 + 1e-4) also where q nears 1 - rho^2.
+        - z: sqrt(c q_i) rounds up by at most (1 + u)^1.5; with
+          m >= 6 sqrt(c q_max) (three roundings) every computed
+          |z_i| >= 0.99 * 6 / (1 + 6e-5) > 5.939, where scipy's erf is exactly
+          +-1.0 (from 5.9216 on), with the sign s of lin_i.
+        """
+        lin0, lin1 = float(self._lin[0]), float(self._lin[-1])
+        if lin0 > 0.0 and lin1 > 0.0:
+            sign = 1.0
+        elif lin0 < 0.0 and lin1 < 0.0:
+            sign = -1.0
+        else:
+            return 0.0
+        m = min(abs(lin0), abs(lin1))
+        q_max = max(float(self._q[0]), float(self._q[-1]))
+        err = 2.0**-51 * self._one_x * (1.0 + abs(mu))
+        if 6.0 * math.sqrt(c * q_max) <= m < math.inf and m >= 200.0 * err:
+            return sign
+        return 0.0
+
+    def __call__(self, theta) -> float:
+        t, mu, rho = _theta_to_params(theta)
+        if t > self.t_cap:
+            return 1e300
+        x, q, lin, a, b = self.centers, self._q, self._lin, self._a, self._b
+        # q = x^2 - 2 rho x + 1
+        np.multiply(x, 2.0 * rho, out=q)
+        np.subtract(self.centers_sq, q, out=q)
+        q += 1.0
+        # lin = (1 - rho x) + mu (x - rho)
+        np.multiply(x, rho, out=lin)
+        np.subtract(1.0, lin, out=lin)
+        np.subtract(x, rho, out=a)
+        a *= mu
+        lin += a
+        one_m_r2 = 1.0 - rho * rho
+        # gauss = exp(-(mu - x)^2 / (2 t q)) / sqrt(2 pi t q), times lin / q
+        np.subtract(mu, x, out=a)
+        np.multiply(a, a, out=a)
+        np.multiply(q, -2.0 * t, out=b)
+        np.divide(a, b, out=a)
+        np.exp(a, out=a)
+        np.multiply(q, TWO_PI * t, out=b)
+        np.sqrt(b, out=b)
+        np.divide(a, b, out=a)
+        np.divide(lin, q, out=b)
+        a *= b
+        # term1 = gauss (lin / q) erf(lin / sqrt(2 t (1 - rho^2) q))
+        c = 2.0 * t * one_m_r2
+        sign = self._saturated_sign(c, mu)
+        if sign < 0.0:
+            np.negative(a, out=a)
+        elif sign == 0.0:
+            np.multiply(q, c, out=b)
+            np.sqrt(b, out=b)
+            np.divide(lin, b, out=b)
+            a *= _erf(b)
+        # term2 = sqrt(1 - rho^2) / (pi q) exp(-(1 - 2 mu rho + mu^2) / (2 t (1 - rho^2)))
+        e2 = np.exp((-1.0 + 2.0 * mu * rho - np.float64(mu) ** 2) / c)
+        if e2 != 0.0:
+            np.multiply(q, np.pi, out=b)
+            np.divide(np.sqrt(one_m_r2), b, out=b)
+            b *= e2
+            a += b
+        np.subtract(a, self.target, out=b)
+        np.multiply(b, b, out=b)
+        total = b.sum()
+        # a finite sum of squares proves every h finite; only otherwise look
+        if not math.isfinite(total) and not np.all(np.isfinite(a)):
+            return 1e300
+        return float(total * self.width)
+
+
 def _fit_objective(theta, centers, target, width, t_cap):
-    t, mu, rho = _theta_to_params(theta)
-    if t > t_cap:
-        return 1e300
-    h = _h_erf_raw(centers, t, 1.0, mu, rho)
-    if not np.all(np.isfinite(h)):
-        return 1e300
-    return float(((h - target) ** 2).sum() * width)
+    return _FitObjective(centers, target, width, t_cap)(theta)
 
 
 def fit_reference(h_e: DensityGrid) -> FitResult:
@@ -293,25 +403,34 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     ]
     assert len(starts) == N_STARTS
 
+    objective = _FitObjective(centers, target, width, t_cap)
     best = None
-    any_converged = False
+    nfev = []
+    n_converged = 0
     for x0 in starts:
         res = _opt.minimize(
-            _fit_objective,
+            objective,
             np.array(x0),
-            args=(centers, target, width, t_cap),
             method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
         )
         if best is None or res.fun < best.fun:
             best = res
-        any_converged = any_converged or bool(res.success)
+        nfev.append(int(res.nfev))
+        n_converged += bool(res.success)
 
     t0, mu0, rho0 = _theta_to_params(best.x)
     fit = FitResult(
-        t0=t0, mu0=mu0, rho0=rho0, objective=float(best.fun), converged=any_converged
+        t0=t0,
+        mu0=mu0,
+        rho0=rho0,
+        objective=float(best.fun),
+        converged=n_converged > 0,
+        nfev=tuple(nfev),
+        n_converged=n_converged,
+        at_t_cap=t0 >= t_cap * (1.0 - _CAP_RTOL),
     )
-    if not any_converged:
+    if not fit.converged:
         raise FitNonConvergenceError("no Nelder-Mead start converged", fit)
     return fit
 

@@ -194,16 +194,22 @@ def _erf(z):
 
 
 def _h_erf_raw(x, t, nu_v, nu_w, rho):
-    """Elementary erf closed form of the equal-variance density; broadcasts."""
+    """Elementary erf closed form of the equal-variance density; broadcasts.
+
+    The means are squared as float64, which gives inf where Python's float
+    power would raise OverflowError (|nu| > 1.34e154) and the same bits
+    elsewhere.
+    """
     q = x * x - 2.0 * rho * x + 1.0
     lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
     one_m_r2 = 1.0 - rho * rho
     gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(TWO_PI * t * q)
     term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
+    nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
     term2 = (
         np.sqrt(one_m_r2)
         / (np.pi * q)
-        * np.exp((-(nu_v**2) + 2.0 * nu_v * nu_w * rho - nu_w**2) / (2.0 * t * one_m_r2))
+        * np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
     )
     return term1 + term2
 

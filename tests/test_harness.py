@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pencilkde import cli, pencil
+from pencilkde import cli, kde, pencil
 from pencilkde.harness import (
     ExperimentConfig,
     PhaseError,
@@ -261,7 +261,51 @@ class TestEmit:
         assert params["config"]["R"] == 20
 
 
+    def test_fit_diagnostics_in_metadata_only(self, micro_report, tmp_path):
+        emit(micro_report, tmp_path)
+        fit = micro_report.fit
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["fit"] == {
+            "nfev": list(fit.nfev),
+            "converged_starts": fit.n_converged,
+            "at_t_cap": fit.at_t_cap,
+        }
+        assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
+        assert 1 <= fit.n_converged <= kde.N_STARTS
+        params = json.loads((tmp_path / "params.json").read_text())
+        assert set(params) == {
+            "config", "p", "t0", "mu0", "rho0", "fit_objective", "rho_hat", "t_star",
+            "t_plus", "skipped_components", "counts", "modes_gaussian", "modes_proposed",
+        }
+        for name in ("densities.csv", "modes.json", "params.json"):
+            text = (tmp_path / name).read_text()
+            assert "nfev" not in text and "converged_starts" not in text
+
+    def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
+        emit(run(micro_config(method="gaussian")), tmp_path)
+        assert "fit" not in json.loads((tmp_path / "metadata.json").read_text())
+
+
 class TestCli:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_density_far_off_mean_exits_zero(self, capsys):
+        # nu_w^2 overflows; Python's float power raised OverflowError (exit 1)
+        code = cli.main(
+            [
+                "density",
+                "--t", "0.01",
+                "--nu-w", "1e200",
+                "--rho", "0.3",
+                "--xmin", "0.7",
+                "--xmax", "1.1",
+                "--points", "3",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x,h"
+        assert [float(row.split(",")[1]) for row in lines[1:]] == [0.0, 0.0, 0.0]
+
     def test_density_to_stdout(self, capsys):
         code = cli.main(
             [

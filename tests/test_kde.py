@@ -88,6 +88,40 @@ def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
     return y
 
 
+def reference_objective(theta, centers, target, width, t_cap):
+    """Reference: the fit objective before _FitObjective, built on _h_erf_raw."""
+    t, mu, rho = kde._theta_to_params(theta)
+    if t > t_cap:
+        return 1e300
+    h = _h_erf_raw(centers, t, 1.0, mu, rho)
+    if not np.all(np.isfinite(h)):
+        return 1e300
+    return float(((h - target) ** 2).sum() * width)
+
+
+class ReferenceObjective:
+    """Drop-in for kde._FitObjective that evaluates reference_objective."""
+
+    def __init__(self, centers, target, width, t_cap):
+        self.args = (centers, target, width, t_cap)
+
+    def __call__(self, theta):
+        return reference_objective(theta, *self.args)
+
+
+def synthetic_histogram(rng, centres, weights, sd, window, bins, size=20_000):
+    """Histogram of a Gaussian mixture over a uniform background, like a pencil sample."""
+    comp = rng.choice(len(centres), size=size, p=np.asarray(weights) / np.sum(weights))
+    pts = np.asarray(centres)[comp] + sd * rng.standard_normal(size)
+    pts = np.concatenate([pts, rng.uniform(window[0] - 0.1, window[1] + 0.1, size // 10)])
+    return empirical_density(single_replication(pts), window, bins)
+
+
+def same_bits(a, b):
+    """Bit equality; np.array_equal would let -0.0 stand for +0.0, which densities.csv prints apart."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def replications(rng, sizes, lo, hi):
     ratio = [rng.uniform(lo, hi, n) for n in sizes]
     ones = [np.ones_like(r) for r in ratio]
@@ -327,6 +361,170 @@ class TestFitReference:
             fit_reference(DensityGrid(x=x, y=y))
 
 
+def objective_branch(centers, theta, target=None):
+    """Assert _FitObjective bit-equal to the reference; return the erf branch it took.
+
+    Besides the given target (zeros by default), the reference density at
+    theta itself is used as a target: the reference objective is then 0.0,
+    and any grid point whose density differs by a bit makes it positive.
+    """
+    centers = np.asarray(centers, dtype=float)
+    width = float(centers[1] - centers[0])
+    t_cap = (float(centers[-1] - centers[0]) + width) ** 2
+    targets = [np.zeros_like(centers) if target is None else target]
+    t, mu, rho = kde._theta_to_params(theta)
+    if t <= t_cap:
+        h = _h_erf_raw(centers, t, 1.0, mu, rho)
+        if np.all(np.isfinite(h)):
+            targets.append(h)
+    for y in targets:
+        obj = kde._FitObjective(centers, y, width, t_cap)
+        assert obj(theta) == reference_objective(theta, centers, y, width, t_cap)
+    if t > t_cap:
+        return None
+    return obj._saturated_sign(2.0 * t * (1.0 - rho * rho), mu)
+
+
+def theta(t, mu, rho=None, arho=None):
+    return np.array([math.log(t), mu, math.atanh(rho) if arho is None else arho])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestFitObjective:
+    def test_random_theta_across_the_caps(self, rng, oracle_fit):
+        _, h_e, _ = oracle_fit
+        for _ in range(400):
+            log_t = rng.uniform(-45.0, 10.0)
+            mu = rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(0.5, 1.3), 10.0 ** rng.uniform(1, 300)])
+            arho = rng.choice([rng.uniform(-3.0, 3.0), rng.uniform(-14.0, 14.0)])
+            objective_branch(h_e.x, np.array([log_t, mu * rng.choice([-1, 1]), arho]), h_e.y)
+
+    @pytest.mark.parametrize("arho", [-kde._ARHO_CAP, kde._ARHO_CAP, -13.0, 13.0])
+    def test_rho_at_the_cap(self, rng, arho):
+        x = np.linspace(0.85, 0.96, 1024)
+        for log_t in rng.uniform(-41.0, -2.0, 40):
+            for mu in (0.9, 0.99, float(np.tanh(arho)), -0.5):
+                objective_branch(x, np.array([log_t, mu, arho]))
+
+    def test_t_above_cap(self):
+        x = np.linspace(0.75, 1.0, 256)
+        width = float(x[1] - x[0])
+        t_cap = (float(x[-1] - x[0]) + width) ** 2
+        obj = kde._FitObjective(x, np.ones_like(x), width, t_cap)
+        assert obj(theta(t_cap * 1.001, 0.9, 0.3)) == 1e300
+        assert obj(np.array([60.0, 0.9, 0.0])) == 1e300
+        assert objective_branch(x, theta(t_cap * (1.0 - 1e-9), 0.9, 0.3)) == 0.0
+
+    @pytest.mark.parametrize("mu", [1.4e154, 1e200, -1e200])
+    def test_far_off_mean_gives_a_value(self, mu):
+        # mu^2 overflows; Python's float power raised OverflowError here
+        x = np.linspace(0.75, 1.0, 256)
+        got = kde._fit_objective(theta(1e-3, mu, 0.3), x, np.ones_like(x), x[1] - x[0], 1.0)
+        assert got == float(np.ones_like(x).sum() * (x[1] - x[0]))
+        objective_branch(x, theta(1e-3, mu, 0.3))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_density_gives_1e300(self):
+        # 2 mu rho overflows too: the Cauchy term's exponent is NaN
+        x = np.linspace(0.75, 1.0, 256)
+        obj = kde._FitObjective(x, np.ones_like(x), x[1] - x[0], 1.0)
+        assert obj(theta(1e-3, 1e308, 0.3)) == 1e300
+        objective_branch(x, theta(1e-3, 1e308, 0.3))
+
+    def test_unsaturated_branch(self, oracle_fit):
+        _, h_e, fit = oracle_fit
+        th = theta(fit.t0, fit.mu0, fit.rho0)
+        assert objective_branch(h_e.x, th, h_e.y) == 0.0
+        # the Cauchy term is not 0.0 here
+        assert math.exp(-(1.0 - 2 * fit.mu0 * fit.rho0 + fit.mu0**2) / (2 * fit.t0)) > 0.0
+
+    @pytest.mark.parametrize(
+        "grid, th, sign",
+        [
+            # lin = 1 + 0.9 x around the density's peak
+            ((0.7, 1.1), theta(1e-4, 0.9, 0.0), 1.0),
+            # lin = 1.54 - 1.5 x, negative past its root 1.03, away from the peak
+            # at x = mu; |z| >= 10 and the density about 1e-13 on the grid
+            ((3.0, 4.0), theta(0.05, -0.6, 0.9), -1.0),
+        ],
+    )
+    def test_saturated_branch(self, grid, th, sign):
+        assert objective_branch(np.linspace(*grid, 512), th) == sign
+
+    @pytest.mark.parametrize("mu, grid", [(1.0, (-1.5, 2.0)), (-1.0, (-2.0, 1.5))])
+    def test_lin_changes_sign_inside_the_grid(self, mu, grid):
+        # rho = 0: lin = 1 + mu x has its root at -1/mu inside the grid, |lin| >= 0.5
+        # at both ends (6 sqrt(c q_max) = 0.42 is below that), and the density
+        # peaks at x = mu on the other side of the root
+        x = np.linspace(*grid, 1024)
+        assert objective_branch(x, theta(5e-4, mu, 0.0)) == 0.0
+
+    def test_lin_tiny_at_both_ends(self):
+        x = np.linspace(0.5, 1.5, 1024)
+        arho = kde._ARHO_CAP
+        rho = math.tanh(arho)
+        # mu = rho: lin is 1 - rho^2 = 2.25e-10 everywhere, saturated for t <= 1e-11
+        assert objective_branch(x, np.array([math.log(1e-12), rho, arho])) == 1.0
+        assert objective_branch(x, np.array([math.log(1e-9), rho, arho])) == 0.0
+        # lin = 1e-13 at x = 0.5: 6 sqrt(c q_max) is below it at t = 2e-18, but
+        # the rounding of lin is not 200 times below it, so erf is evaluated
+        delta = (1.0 - rho * rho - 1e-13) / (rho - 0.5)
+        th = np.array([math.log(2e-18), rho + delta, arho])
+        assert objective_branch(x, th) == 0.0
+
+    @pytest.mark.parametrize("z_end", [5.5, 5.93, 5.99])
+    def test_end_z_below_the_bound(self, z_end):
+        # rho = 0, mu = 1: z = (1 + x) / sqrt(2 t (1 + x^2)) is z_end at x = 0,
+        # below 6 q_max^(1/2) there, so erf is evaluated; scipy's erf is exactly
+        # 1.0 only from 5.9216 on
+        x = np.linspace(0.0, 0.15, 256)
+        t = 1.0 / (2.0 * z_end**2)
+        assert objective_branch(x, theta(t, 1.0, 0.0)) == 0.0
+
+
+class TestFitReferenceObjective:
+    """fit_reference with _FitObjective takes the reference objective's Nelder-Mead path."""
+
+    def fits(self, h_e, monkeypatch):
+        got = fit_reference(h_e)
+        with monkeypatch.context() as m:
+            m.setattr(kde, "_FitObjective", ReferenceObjective)
+            want = fit_reference(h_e)
+        return got, want
+
+    def test_oracle_histogram(self, oracle_fit, monkeypatch):
+        _, h_e, fit = oracle_fit
+        got, want = self.fits(h_e, monkeypatch)
+        assert got == want == fit
+        assert got.nfev == want.nfev and len(got.nfev) == kde.N_STARTS
+
+    def test_model1_like_histogram(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        h_e = synthetic_histogram(rng, [0.8, 0.9, 0.95], [1, 1, 1], 0.01, (0.75, 1.0), 256)
+        got, want = self.fits(h_e, monkeypatch)
+        assert got == want
+        assert got.nfev == want.nfev
+        # as on model1, the (0.75, 1.0) window pins t0 at its cap span^2
+        assert got.at_t_cap and got.t0 == pytest.approx(0.25**2, rel=1e-9)
+
+    def test_model2_like_histogram(self, monkeypatch):
+        # like model2's fit, rho0 runs to the cap and every evaluation takes the
+        # saturated branch; 2048 bins in place of 8192 keep the test short
+        rng = np.random.default_rng(2)
+        h_e = synthetic_histogram(
+            rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
+        )
+        got, want = self.fits(h_e, monkeypatch)
+        assert got == want
+        assert got.nfev == want.nfev
+
+    def test_diagnostics(self, oracle_fit):
+        _, _, fit = oracle_fit
+        assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
+        assert 1 <= fit.n_converged <= kde.N_STARTS
+        assert not fit.at_t_cap
+
+
 class TestBandwidthTStar:
     WINDOW = (0.5, 1.3)
 
@@ -461,7 +659,7 @@ class TestProposedEstimate:
         grid = np.linspace(0.85, 0.96, 2048)
         sample = replications(rng, rng.integers(0, 10, 30), 0.8, 1.0)
         got = proposed_estimate(sample, grid, t_star, rho).y
-        assert np.array_equal(got, dense_proposed(sample, grid, t_star, rho))
+        assert same_bits(got, dense_proposed(sample, grid, t_star, rho))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_matches_dense_with_all_zero_rows(self, rng):
@@ -473,7 +671,7 @@ class TestProposedEstimate:
         sample.ratio[1][:] = [2.0, 2.5, -1.0, 40.0]
         for t_star in (3.8e-5, 1e-9):
             got = proposed_estimate(sample, grid, t_star, 0.95).y
-            assert np.array_equal(got, dense_proposed(sample, grid, t_star, 0.95))
+            assert same_bits(got, dense_proposed(sample, grid, t_star, 0.95))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -489,7 +687,7 @@ class TestProposedEstimate:
         sample = replications(rng, [kde.CHUNK + 300, 3], 0.4, 1.4)
         for t_star in (1e-5, 0.01):
             got = proposed_estimate(sample, grid, t_star, 0.4).y
-            assert np.array_equal(got, dense_proposed(sample, grid, t_star, 0.4))
+            assert same_bits(got, dense_proposed(sample, grid, t_star, 0.4))
 
     def test_component_evolution_residuals(self):
         # five random components at pipeline-like correlation and bandwidths
