@@ -19,11 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harness import ExperimentConfig, PhaseError, emit, estimate_pipeline, run, sample_from_pairs
+from .harness import (
+    ExperimentConfig,
+    PhaseError,
+    _csv,
+    _mode_payload,
+    decompose_record,
+    emit,
+    estimate_pipeline,
+    run,
+    sample_from_pairs,
+)
 from .kde import DensityGrid, FitNonConvergenceError, extract_modes
 from .multiexp import read_dataset_csv, read_dataset_json
 from .pde import SingularPointError, pde_coefficients, residual, singular_mask
-from .pencil import DecompositionError, real_pairs_fast
+from .pencil import DecompositionError
 from .ratio_density import EqualVarSpec, density_equal_var, derivatives
 
 NUMERICAL_ERRORS = (
@@ -39,10 +49,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 2:
@@ -51,18 +57,11 @@ def _parse_window(text: str):
 
 
 def _write_rows(out, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    text = _csv(header, rows)
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _mode_payload(modes) -> list:
-    return [{"x": m.x, "height": m.height} for m in modes]
 
 
 def _add_spec_args(sub) -> None:
@@ -144,11 +143,7 @@ def _cmd_estimate(args) -> int:
     if not path.exists():
         raise ValueError(f"dataset not found: {path}")
     dataset = read_dataset_json(path) if path.suffix == ".json" else read_dataset_csv(path)
-    pairs = []
-    for row in dataset.data:
-        rp = real_pairs_fast(row)
-        pairs.append((rp.s, rp.t, rp.ratio, rp.n_complex, rp.n_infinite))
-    sample, counts = sample_from_pairs(pairs)
+    sample, counts = sample_from_pairs([decompose_record(row) for row in dataset.data])
     window = _parse_window(args.window)
     result = estimate_pipeline(sample, window, args.points, args.tau, args.method)
 

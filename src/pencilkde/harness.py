@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "PhaseError",
     "run",
     "emit",
+    "decompose_record",
     "decompose_replications",
     "sample_from_pairs",
     "estimate_pipeline",
@@ -145,22 +146,7 @@ class ExperimentConfig:
         return cls.from_dict(cfg)
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "zeta": list(self.model.zeta),
-                "f": list(self.model.f),
-                "sigma": self.model.sigma,
-                "n": self.model.n,
-            },
-            "R": self.R,
-            "N_ref": self.N_ref,
-            "window": list(self.window),
-            "points": self.points,
-            "tau": self.tau,
-            "seed": self.seed,
-            "method": self.method,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -188,13 +174,16 @@ class ExperimentReport:
         return self.modes_gaussian or []
 
 
+def decompose_record(data) -> tuple:
+    """(s, t, ratio, n_complex, n_infinite) of one record's real Schur pairs."""
+    # a module global, looked up per call, so perfbench's tracer can wrap it
+    rp = real_pairs_fast(data)
+    return rp.s, rp.t, rp.ratio, rp.n_complex, rp.n_infinite
+
+
 def _decompose_chunk(args):
     model, seed, r_lo, r_hi = args
-    out = []
-    for r in range(r_lo, r_hi):
-        rp = real_pairs_fast(generate(model, seed, r))
-        out.append((rp.s, rp.t, rp.ratio, rp.n_complex, rp.n_infinite))
-    return out
+    return [decompose_record(generate(model, seed, r)) for r in range(r_lo, r_hi)]
 
 
 def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1):
@@ -315,20 +304,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         **outside,
     }
     return ExperimentReport(
-        config=config,
-        reference=reference,
-        empirical=est["empirical"],
-        gaussian=est["gaussian"],
-        proposed=est["proposed"],
-        fit=est["fit"],
-        rho_hat=est["rho_hat"],
-        t_star=est["t_star"],
-        t_plus=est["t_plus"],
-        modes_gaussian=est["modes_gaussian"],
-        modes_proposed=est["modes_proposed"],
-        skipped_components=est["skipped_components"],
-        counts=counts,
-        timings=timings,
+        config=config, reference=reference, counts=counts, timings=timings, **est
     )
 
 
@@ -338,6 +314,13 @@ def _fmt(v: float) -> str:
 
 def _mode_payload(modes) -> list:
     return [{"x": m.x, "height": m.height} for m in modes]
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line of _fmt values per row."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit(report: ExperimentReport, out_dir) -> list:
@@ -353,8 +336,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
         raise PhaseError("emit", RuntimeError(f"cannot create {out}: {exc}")) from exc
 
     cfg = report.config
-    m = cfg.points
-    nan_col = np.full(m, np.nan)
+    nan_col = np.full(cfg.points, np.nan)
     columns = [
         report.reference.x,
         report.reference.y,
@@ -372,10 +354,8 @@ def emit(report: ExperimentReport, out_dir) -> list:
             raise PhaseError("emit", RuntimeError(f"cannot write {path}: {exc}")) from exc
         written.append(path)
 
-    lines = ["x,reference,empirical,gaussian,proposed"]
-    for i in range(m):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    _write(out / "densities.csv", "\n".join(lines) + "\n")
+    header = ["x", "reference", "empirical", "gaussian", "proposed"]
+    _write(out / "densities.csv", _csv(header, zip(*columns)))
 
     _write(out / "modes.json", json.dumps(_mode_payload(report.modes), sort_keys=True) + "\n")
 

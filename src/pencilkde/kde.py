@@ -40,7 +40,6 @@ __all__ = [
     "gaussian_bandwidth",
     "pooled_correlation",
     "fit_reference",
-    "bandwidth_t_star",
     "bandwidth_t_star_details",
     "proposed_estimate",
     "extract_modes",
@@ -360,10 +359,6 @@ class _FitObjective:
         return float(total * self.width)
 
 
-def _fit_objective(theta, centers, target, width, t_cap):
-    return _FitObjective(centers, target, width, t_cap)(theta)
-
-
 def fit_reference(h_e: DensityGrid) -> FitResult:
     """Least-squares fit of a single ratio density to the empirical histogram.
 
@@ -487,10 +482,6 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
         raise ValueError("degenerate evolution norm")
     t_star = (e_term / (2.0 * R * math.sqrt(math.pi) * norm_term)) ** 0.4
     return t_star, skipped
-
-
-def bandwidth_t_star(sample: EigenSample, fit: FitResult, rho_hat: float, window) -> float:
-    return bandwidth_t_star_details(sample, fit, rho_hat, window)[0]
 
 
 def _kernel_supports(mu: np.ndarray, grid_x: np.ndarray, t: float, rho: float):

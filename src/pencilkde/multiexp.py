@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,13 +175,7 @@ def write_dataset_json(path, dataset: Dataset) -> None:
     """Model parameters plus the replication matrix; floats round-trip exactly."""
     payload: dict = {"data": dataset.data.tolist()}
     if dataset.model is not None:
-        m = dataset.model
-        payload["model"] = {
-            "zeta": list(m.zeta),
-            "f": list(m.f),
-            "sigma": m.sigma,
-            "n": m.n,
-        }
+        payload["model"] = asdict(dataset.model)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")

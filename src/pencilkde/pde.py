@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratio_density import EqualVarSpec, density_equal_var, derivatives
+from .ratio_density import EqualVarSpec, _moment_coefficients, density_equal_var, derivatives
+from .specfun import moment_recurrence
 
 # denominator magnitudes below EPS_DENOM * (largest term) count as singular
 EPS_DENOM = 1e-12
@@ -315,38 +316,24 @@ def g_coefficients(spec: EqualVarSpec, x) -> GCoefficients:
         G_x  = (A_t D_xx - B_t C_xx) / (A_x D_xx - B_x C_xx)
         G_xx = (A_x B_t - A_t B_x) / (A_x D_xx - B_x C_xx)
     """
-    from .specfun import moment_recurrence
-
     nv, nw, r, t = spec.nu_v, spec.nu_w, spec.rho, spec.t
     xf = float(x)
-    one_m_r2 = 1.0 - r * r
-    s32 = one_m_r2**1.5
-    s52 = one_m_r2**2.5
-    t2, t3 = t * t, t**3
-
-    denom = 2.0 * one_m_r2 * t
+    denom = 2.0 * (1.0 - r * r) * t
     a = (1.0 - 2.0 * r * xf + xf * xf) / denom
     b = (nv - r * nw + (nw - r * nv) * xf) / denom
-
-    coef_at = (1.0 + xf * xf - 2.0 * xf * r) / (2.0 * t3 * s32)
-    coef_bt = -(nv + nw * xf - (nw + nv * xf) * r) / (t3 * s32)
-    coef_ax = (r - xf) / (t2 * s32)
-    coef_bx = (nw - nv * r) / (t2 * s32)
-    coef_exx = (xf - r) ** 2 / (t3 * s52)
-    coef_fxx = 2.0 * (xf - r) * (-nw + nv * r) / (t3 * s52)
-    coef_axx = ((nw - nv * r) ** 2 + t * (r * r - 1.0)) / (t3 * s52)
+    at, bt, _, ax, bx, exx, fxx, axx = _moment_coefficients(xf, t, nv, nw, r)
 
     w1, w2, w3, w4 = moment_recurrence(a, b)
-    cxx = coef_axx + coef_fxx * w2 + coef_exx * w4
-    dxx = coef_fxx * w1 + coef_exx * w3
+    cxx = axx + fxx * w2 + exx * w4
+    dxx = fxx * w1 + exx * w3
 
-    den = coef_ax * dxx - coef_bx * cxx
-    scale = max(abs(coef_ax * dxx), abs(coef_bx * cxx))
+    den = ax * dxx - bx * cxx
+    scale = max(abs(ax * dxx), abs(bx * cxx))
     if abs(den) <= EPS_DENOM * scale:
         raise SingularPointError(f"x = {xf} is singular for the derivative elimination")
     return GCoefficients(
-        G_x=(coef_at * dxx - coef_bt * cxx) / den,
-        G_xx=(coef_ax * coef_bt - coef_at * coef_bx) / den,
+        G_x=(at * dxx - bt * cxx) / den,
+        G_xx=(ax * bt - at * bx) / den,
     )
 
 

@@ -256,6 +256,30 @@ def density_limit_t_inf(rho: float, x):
     return out
 
 
+def _moment_coefficients(x, t, nu_v, nu_w, rho) -> tuple:
+    """(A_t, B_t, C_t, A_x, B_x, E_xx, F_xx, A_xx) of the moment assembly; broadcasts.
+
+    The means are squared as float64, as in _h_erf_raw, so |nu| > 1.34e154
+    gives inf rather than Python's OverflowError, with the same bits elsewhere.
+    """
+    one_m_r2 = 1.0 - rho * rho
+    s32 = one_m_r2**1.5
+    s52 = one_m_r2**2.5
+    t2 = t * t
+    t3 = t2 * t
+    nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
+    return (
+        (1.0 + x * x - 2.0 * x * rho) / (2.0 * t3 * s32),
+        -(nu_v + nu_w * x - (nu_w + nu_v * x) * rho) / (t3 * s32),
+        (nv2 + nw2 - 2.0 * nu_v * nu_w * rho + 2.0 * t * (rho * rho - 1.0)) / (2.0 * t3 * s32),
+        (rho - x) / (t2 * s32),
+        (nu_w - nu_v * rho) / (t2 * s32),
+        (x - rho) ** 2 / (t3 * s52),
+        2.0 * (x - rho) * (-nu_w + nu_v * rho) / (t3 * s52),
+        (np.float64(nu_w - nu_v * rho) ** 2 + t * (rho * rho - 1.0)) / (t3 * s52),
+    )
+
+
 def _derivs_raw(x, t, nu_v, nu_w, rho):
     """(h_t, h_x, h_xx) for the equal-variance family; broadcasts over arrays.
 
@@ -269,27 +293,11 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     weights W1..W4.
     """
     x = np.asarray(x, dtype=float)
-    one_m_r2 = 1.0 - rho * rho
-    s32 = one_m_r2**1.5
-    s52 = one_m_r2**2.5
-    t2 = t * t
-    t3 = t2 * t
-
-    denom = 2.0 * one_m_r2 * t
+    denom = 2.0 * (1.0 - rho * rho) * t
     a = (1.0 - 2.0 * rho * x + x * x) / denom
     b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
     c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
-
-    coef_at = (1.0 + x * x - 2.0 * x * rho) / (2.0 * t3 * s32)
-    coef_bt = -(nu_v + nu_w * x - (nu_w + nu_v * x) * rho) / (t3 * s32)
-    coef_ct = (nu_v**2 + nu_w**2 - 2.0 * nu_v * nu_w * rho + 2.0 * t * (rho * rho - 1.0)) / (
-        2.0 * t3 * s32
-    )
-    coef_ax = (rho - x) / (t2 * s32)
-    coef_bx = (nu_w - nu_v * rho) / (t2 * s32)
-    coef_exx = (x - rho) ** 2 / (t3 * s52)
-    coef_fxx = 2.0 * (x - rho) * (-nu_w + nu_v * rho) / (t3 * s52)
-    coef_axx = ((nu_w - nu_v * rho) ** 2 + t * (rho * rho - 1.0)) / (t3 * s52)
+    at, bt, ct, ax, bx, exx, fxx, axx = _moment_coefficients(x, t, nu_v, nu_w, rho)
 
     w1, w2, w3, w4 = moment_recurrence(a, b)
     lam0, lam1, lam2 = scaled_moments(a, b)
@@ -297,11 +305,9 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     z = b * b / a
     pref = np.exp(z - c) / TWO_PI
 
-    h_t = pref * (coef_at * lam2 + coef_bt * lam1 + coef_ct * lam0)
-    h_x = pref * (coef_ax * lam2 + coef_bx * lam1)
-    h_xx = pref * (
-        (coef_axx + coef_fxx * w2 + coef_exx * w4) * lam2 + (coef_fxx * w1 + coef_exx * w3) * lam1
-    )
+    h_t = pref * (at * lam2 + bt * lam1 + ct * lam0)
+    h_x = pref * (ax * lam2 + bx * lam1)
+    h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
     return h_t, h_x, h_xx
 
 

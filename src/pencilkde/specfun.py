@@ -29,21 +29,12 @@ _SQRT_PI = math.sqrt(math.pi)
 
 __all__ = [
     "MomentParams",
-    "erf",
     "hyp1f1_half",
     "hyp1f1_half_scaled",
     "moment_L",
     "moment_recurrence",
     "scaled_moments",
 ]
-
-
-def erf(x):
-    """Error function, elementwise; scalars in, scalar out."""
-    out = _special.erf(x)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def _gamma_half(two_m: int) -> float:

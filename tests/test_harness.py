@@ -10,6 +10,8 @@ from pencilkde import cli, kde, pencil
 from pencilkde.harness import (
     ExperimentConfig,
     PhaseError,
+    _fmt,
+    _mode_payload,
     decompose_replications,
     emit,
     run,
@@ -330,6 +332,23 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nu_w", ["1.4e154", "1e200", "-1e200"])
+    def test_pde_check_far_off_mean_keeps_the_exit_contract(self, nu_w, capsys):
+        # Python float pow raises OverflowError squaring a mean beyond 1.34e154
+        code = cli.main(
+            [
+                "pde-check",
+                "--t", "0.01",
+                f"--nu-w={nu_w}",
+                "--rho", "0.3",
+                "--xmin", "0.7",
+                "--xmax", "1.1",
+                "--points", "3",
+            ]
+        )
+        assert code in (0, 2, 3)
+
     def test_pde_check(self, tmp_path):
         out = tmp_path / "pde.csv"
         code = cli.main(
@@ -410,6 +429,32 @@ class TestCli:
         assert (out / "modes.json").exists()
         assert (out / "params.json").exists()
         assert json.loads((out / "params.json").read_text())["method"] == "proposed"
+
+    def test_estimate_matches_the_harness(self, micro_report, tmp_path, capsys):
+        cfg = micro_report.config
+        data = np.stack([generate(cfg.model, cfg.seed, r) for r in range(cfg.R)])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, Dataset(data=data))
+        out = tmp_path / "est"
+        code = cli.main(
+            [
+                "estimate",
+                "--data", str(path),
+                "--method", "proposed",
+                "--window", f"{cfg.window[0]!r},{cfg.window[1]!r}",
+                "--points", str(cfg.points),
+                "--tau", repr(cfg.tau),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in (out / "density.csv").read_text().splitlines()[1:]]
+        assert [y for _, y in rows] == [_fmt(v) for v in micro_report.proposed.y]
+        params = json.loads((out / "params.json").read_text())
+        assert params["t_star"] == micro_report.t_star
+        assert params["counts"] == micro_report.counts["estimation"]
+        modes = json.loads((out / "modes.json").read_text())
+        assert modes == _mode_payload(micro_report.modes_proposed)
 
     def test_estimate_bad_window(self, dataset_csv, tmp_path, capsys):
         code = cli.main(

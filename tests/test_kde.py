@@ -13,7 +13,6 @@ from pencilkde.kde import (
     DensityGrid,
     EigenSample,
     FitResult,
-    bandwidth_t_star,
     bandwidth_t_star_details,
     count_outside,
     empirical_density,
@@ -340,15 +339,13 @@ class TestFitReference:
         span = float(h_e.x[-1] - h_e.x[0]) + width
         trace = []
         x0 = np.array([math.log(0.02), 0.8, 0.0])
+        objective = kde._FitObjective(h_e.x, h_e.y, width, span * span)
         scipy.optimize.minimize(
-            kde._fit_objective,
+            objective,
             x0,
-            args=(h_e.x, h_e.y, width, span * span),
             method="Nelder-Mead",
             options={"maxiter": 300},
-            callback=lambda xk: trace.append(
-                kde._fit_objective(xk, h_e.x, h_e.y, width, span * span)
-            ),
+            callback=lambda xk: trace.append(objective(xk)),
         )
         assert len(trace) > 10
         assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -419,7 +416,7 @@ class TestFitObjective:
     def test_far_off_mean_gives_a_value(self, mu):
         # mu^2 overflows; Python's float power raised OverflowError here
         x = np.linspace(0.75, 1.0, 256)
-        got = kde._fit_objective(theta(1e-3, mu, 0.3), x, np.ones_like(x), x[1] - x[0], 1.0)
+        got = kde._FitObjective(x, np.ones_like(x), x[1] - x[0], 1.0)(theta(1e-3, mu, 0.3))
         assert got == float(np.ones_like(x).sum() * (x[1] - x[0]))
         objective_branch(x, theta(1e-3, mu, 0.3))
 
@@ -550,14 +547,14 @@ class TestBandwidthTStar:
             limit=400,
         )
         want = (1.0 / math.sqrt(d_center) / (2.0 * math.sqrt(math.pi) * norm)) ** 0.4
-        got = bandwidth_t_star(single_replication([0.9]), fit, fit.rho0, self.WINDOW)
+        got = bandwidth_t_star_details(single_replication([0.9]), fit, fit.rho0, self.WINDOW)[0]
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_replication_count_exponent(self):
         fit = self.fit()
-        one = bandwidth_t_star(single_replication([0.9]), fit, 0.3, self.WINDOW)
+        one = bandwidth_t_star_details(single_replication([0.9]), fit, 0.3, self.WINDOW)[0]
         many = EigenSample(s=[[0.9]] * 16, t=[[1.0]] * 16, ratio=[[0.9]] * 16)
-        got = bandwidth_t_star(many, fit, 0.3, self.WINDOW)
+        got = bandwidth_t_star_details(many, fit, 0.3, self.WINDOW)[0]
         assert got == pytest.approx(one * 16.0**-0.4, rel=1e-12)
 
     def test_skips_components_with_bad_diffusion(self):
@@ -586,16 +583,16 @@ class TestBandwidthTStar:
 
     def test_all_components_skipped(self):
         with pytest.raises(ValueError):
-            bandwidth_t_star(single_replication([0.9]), self.fit(), 0.9, self.WINDOW)
+            bandwidth_t_star_details(single_replication([0.9]), self.fit(), 0.9, self.WINDOW)
 
     def test_rejects_bad_parameters(self):
         sample = single_replication([0.9])
         with pytest.raises(ValueError):
-            bandwidth_t_star(sample, self.fit(t0=0.0), 0.3, self.WINDOW)
+            bandwidth_t_star_details(sample, self.fit(t0=0.0), 0.3, self.WINDOW)
         with pytest.raises(ValueError):
-            bandwidth_t_star(sample, self.fit(), 1.0, self.WINDOW)
+            bandwidth_t_star_details(sample, self.fit(), 1.0, self.WINDOW)
         with pytest.raises(ValueError):
-            bandwidth_t_star(EigenSample(s=[], t=[], ratio=[]), self.fit(), 0.3, self.WINDOW)
+            bandwidth_t_star_details(EigenSample(s=[], t=[], ratio=[]), self.fit(), 0.3, self.WINDOW)
 
 
 class TestProposedEstimate:
