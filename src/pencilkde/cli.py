@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,6 +118,8 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
+# h, h_t, D and C are checked below; numpy's overflow warnings would only repeat that
+@np.errstate(all="ignore")
 def _cmd_pde_check(args) -> int:
     spec = EqualVarSpec(nu_v=args.nu_v, nu_w=args.nu_w, rho=args.rho, t=args.t)
     x = _grid(args)
@@ -133,6 +136,8 @@ def _cmd_pde_check(args) -> int:
         except SingularPointError:
             rows.append((xi,) + (float("nan"),) * 6)
             continue
+        if not all(math.isfinite(v) for v in (h, h_t, co.D, co.C)):
+            raise FloatingPointError(f"h, h_t, D or C is not finite at x = {float(xi)!r}")
         rows.append((xi, h, h_t, co.D, co.C, co.S, res))
     _write_rows(args.out, ["x", "h", "h_t", "D", "C", "S", "residual"], rows)
     return EXIT_OK

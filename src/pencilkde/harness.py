@@ -396,6 +396,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
             "nfev": list(report.fit.nfev),
             "converged_starts": report.fit.n_converged,
             "at_t_cap": report.fit.at_t_cap,
+            "at_rho_cap": report.fit.at_rho_cap,
         }
     _write(out / "metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
     return written

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize as _opt
 
 from . import pde as _pde
-from .ratio_density import TWO_PI, EqualVarSpec, _derivs_raw, _erf, _h_erf_raw
+from .ratio_density import _derivs_raw, _RatioKernel
 
 # components per chunk when broadcasting kernels against evaluation grids
 CHUNK = 512
@@ -133,10 +133,12 @@ class FitResult:
     objective: float
     converged: bool = True
     # diagnostics for metadata.json: objective evaluations per start, starts
-    # that converged, and whether t0 sits at the variance cap span^2
+    # that converged, whether t0 sits at the variance cap span^2, and whether
+    # the minimizer's |atanh rho| is at or beyond its transform cap
     nfev: tuple = ()
     n_converged: int = 0
     at_t_cap: bool = False
+    at_rho_cap: bool = False
 
 
 def _bin_grid(window, bins: int):
@@ -250,111 +252,34 @@ def _theta_to_params(theta):
     return t, float(mu), rho
 
 
-class _FitObjective:
+class _FitObjective(_RatioKernel):
     """The reference fit's objective on one histogram, evaluated in place.
 
-    Per grid point it does the IEEE operations of _h_erf_raw(centers, t, 1.0,
-    mu, rho) and of the squared-residual sum, into four preallocated buffers,
-    with four shortcuts that keep every bit: the multiplications by nu_v = 1.0
-    are left out; the exponent's negation moves into the scalar,
-    d^2 / ((-2t) q), as IEEE division is sign-symmetric; the Cauchy term is
-    left out when its scalar exp(...) is 0.0, since it is then +0.0
-    (q >= 1 - rho^2 > 0) and term1 is never -0.0; and erf is left out where
-    _saturated_sign proves it is sign(lin) at every grid point.
+    Each evaluation prepares the kernel at (t, rho), writes one row over all
+    the bin centres and sums the squared residuals into a preallocated
+    buffer: the IEEE operations of _h_erf_raw(centers, t, 1.0, mu, rho) and
+    of the residual sum, with the kernel's shortcuts.
     """
 
     def __init__(self, centers, target, width, t_cap):
-        self.centers = centers
-        self.centers_sq = centers * centers
+        super().__init__(centers)
         self.target = target
         self.width = width
         self.t_cap = t_cap
-        self._q, self._lin, self._a, self._b = (np.empty(centers.size) for _ in range(4))
-        # (1 + X) for the largest |x|, which the increasing grid has at an end
-        self._one_x = 1.0 + max(abs(float(centers[0])), abs(float(centers[-1])))
-
-    def _saturated_sign(self, c, mu):
-        """s = +-1.0 when erf(lin_i / sqrt(c q_i)) is exactly s at every point, else 0.0.
-
-        With u = 2^-53 and X = max |x|:
-        - lin: the computed lin_i is within E = 4u (1 + X)(1 + |mu|) of the
-          linear l(x) = (1 - rho x) + mu (x - rho) (five roundings, |rho| < 1).
-          If both computed ends have sign s and m = min |lin_end| >= 200 E,
-          then s l >= m - E on the whole grid, and s lin_i >= m - 2E >= 0.99 m,
-          however near the grid l has its root.
-        - q: the computed q_i is within 4u (1 + X)^2 of the convex
-          q(x) = (x - rho)^2 + 1 - rho^2, so q_i <= q_max + 8u (1 + X)^2 with
-          q_max the larger computed end. As q >= (|x| - 1)^2 and, under the
-          rho cap, q >= 1 - rho^2 >= 2.25e-10, (1 + X)^2 <= 7.2e10 q_max, so
-          q_i <= q_max (1 + 1e-4) also where q nears 1 - rho^2.
-        - z: sqrt(c q_i) rounds up by at most (1 + u)^1.5; with
-          m >= 6 sqrt(c q_max) (three roundings) every computed
-          |z_i| >= 0.99 * 6 / (1 + 6e-5) > 5.939, where scipy's erf is exactly
-          +-1.0 (from 5.9216 on), with the sign s of lin_i.
-        """
-        lin0, lin1 = float(self._lin[0]), float(self._lin[-1])
-        if lin0 > 0.0 and lin1 > 0.0:
-            sign = 1.0
-        elif lin0 < 0.0 and lin1 < 0.0:
-            sign = -1.0
-        else:
-            return 0.0
-        m = min(abs(lin0), abs(lin1))
-        q_max = max(float(self._q[0]), float(self._q[-1]))
-        err = 2.0**-51 * self._one_x * (1.0 + abs(mu))
-        if 6.0 * math.sqrt(c * q_max) <= m < math.inf and m >= 200.0 * err:
-            return sign
-        return 0.0
+        self._res = np.empty(centers.size)
 
     def __call__(self, theta) -> float:
         t, mu, rho = _theta_to_params(theta)
         if t > self.t_cap:
             return 1e300
-        x, q, lin, a, b = self.centers, self._q, self._lin, self._a, self._b
-        # q = x^2 - 2 rho x + 1
-        np.multiply(x, 2.0 * rho, out=q)
-        np.subtract(self.centers_sq, q, out=q)
-        q += 1.0
-        # lin = (1 - rho x) + mu (x - rho)
-        np.multiply(x, rho, out=lin)
-        np.subtract(1.0, lin, out=lin)
-        np.subtract(x, rho, out=a)
-        a *= mu
-        lin += a
-        one_m_r2 = 1.0 - rho * rho
-        # gauss = exp(-(mu - x)^2 / (2 t q)) / sqrt(2 pi t q), times lin / q
-        np.subtract(mu, x, out=a)
-        np.multiply(a, a, out=a)
-        np.multiply(q, -2.0 * t, out=b)
-        np.divide(a, b, out=a)
-        np.exp(a, out=a)
-        np.multiply(q, TWO_PI * t, out=b)
-        np.sqrt(b, out=b)
-        np.divide(a, b, out=a)
-        np.divide(lin, q, out=b)
-        a *= b
-        # term1 = gauss (lin / q) erf(lin / sqrt(2 t (1 - rho^2) q))
-        c = 2.0 * t * one_m_r2
-        sign = self._saturated_sign(c, mu)
-        if sign < 0.0:
-            np.negative(a, out=a)
-        elif sign == 0.0:
-            np.multiply(q, c, out=b)
-            np.sqrt(b, out=b)
-            np.divide(lin, b, out=b)
-            a *= _erf(b)
-        # term2 = sqrt(1 - rho^2) / (pi q) exp(-(1 - 2 mu rho + mu^2) / (2 t (1 - rho^2)))
-        e2 = np.exp((-1.0 + 2.0 * mu * rho - np.float64(mu) ** 2) / c)
-        if e2 != 0.0:
-            np.multiply(q, np.pi, out=b)
-            np.divide(np.sqrt(one_m_r2), b, out=b)
-            b *= e2
-            a += b
-        np.subtract(a, self.target, out=b)
-        np.multiply(b, b, out=b)
-        total = b.sum()
+        self.prepare(t, rho)
+        h = self.row(mu, self.cauchy_exp(mu), 0, self.x.size)
+        res = self._res
+        np.subtract(h, self.target, out=res)
+        np.multiply(res, res, out=res)
+        total = res.sum()
         # a finite sum of squares proves every h finite; only otherwise look
-        if not math.isfinite(total) and not np.all(np.isfinite(a)):
+        if not math.isfinite(total) and not np.all(np.isfinite(h)):
             return 1e300
         return float(total * self.width)
 
@@ -424,6 +349,7 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
         nfev=tuple(nfev),
         n_converged=n_converged,
         at_t_cap=t0 >= t_cap * (1.0 - _CAP_RTOL),
+        at_rho_cap=abs(float(best.x[2])) >= _ARHO_CAP,
     )
     if not fit.converged:
         raise FitNonConvergenceError("no Nelder-Mead start converged", fit)
@@ -485,32 +411,49 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
 
 
 def _kernel_supports(mu: np.ndarray, grid_x: np.ndarray, t: float, rho: float):
-    """(lo, hi): component k of the proposed mixture is exactly 0.0 off grid_x[lo[k]:hi[k]].
+    """Per component, the slices (a, b) of grid_x off which it is exactly 0.0.
 
-    With c = 2 t _EXP_ZERO < 1, the constant (Cauchy) term of every component
-    is at most exp(-1 / (2 t)) < exp(-_EXP_ZERO), exactly 0.0, and its
-    Gaussian factor exp(-(mu - x)^2 / (2 t q(x))), q = x^2 - 2 rho x + 1, is
-    exactly 0.0 outside the roots of (1 - c) x^2 - 2 (mu - c rho) x + mu^2 - c,
-    where the exponent drops below -_EXP_ZERO. The roots are widened a little
-    against their own rounding; a component whose roots are not finite, and
-    every component when c >= 1, keeps the whole grid.
+    A component's Gaussian factor exp(-(mu - x)^2 / (2 t q(x))),
+    q = x^2 - 2 rho x + 1, is exactly 0.0 where its exponent drops below
+    -_EXP_ZERO, that is where (1 - c) x^2 - 2 (mu - c rho) x + mu^2 - c > 0
+    with c = 2 t _EXP_ZERO. Its real roots exist where the discriminant
+    c q(mu) - c^2 (1 - rho^2) is positive, so where
+    q(mu) / (2 t (1 - rho^2)) > _EXP_ZERO: the component's Cauchy term
+    exp(-q(mu) / (2 t (1 - rho^2))) is then exactly 0.0 as well. If c < 1 the
+    quadratic opens upward and the support lies between its roots, widened a
+    little against their own rounding. If c > 1 it opens downward, the roots
+    swap, and the support is the grid minus the interval between them, in at
+    most two slices; that interval shrinks by the same margin. Components
+    whose roots are not finite, and every component when c == 1, keep the
+    whole grid. The rounding left over sits well inside the margin of
+    _EXP_ZERO over the exp underflow at 745.14.
     """
-    lo = np.zeros(mu.size, dtype=np.intp)
-    hi = np.full(mu.size, grid_x.size, dtype=np.intp)
+    n = grid_x.size
+    out = [((0, n),)] * mu.size
     c = 2.0 * t * _EXP_ZERO
-    if c >= 1.0:
-        return lo, hi
+    if c == 1.0:
+        return out
     centre = mu - c * rho
     with np.errstate(over="ignore", invalid="ignore"):
         # discriminant c q(mu) - c^2 (1 - rho^2), written without cancellation
         half = np.sqrt(c * ((mu - rho) ** 2 + (1.0 - rho * rho) * (1.0 - c)))
+        # widens the support between the roots, or shrinks the zero interval
         pad = 1e-9 * (np.abs(centre) + half)
+        if c > 1.0:
+            pad = -pad
         left = (centre - half - pad) / (1.0 - c)
         right = (centre + half + pad) / (1.0 - c)
     band = np.isfinite(left) & np.isfinite(right)
-    lo[band] = np.searchsorted(grid_x, left[band], side="left")
-    hi[band] = np.searchsorted(grid_x, right[band], side="right")
-    return lo, hi
+    if c > 1.0:
+        left, right = right, left
+    lo = np.searchsorted(grid_x, left, side="left").tolist()
+    hi = np.searchsorted(grid_x, right, side="right").tolist()
+    for k in np.flatnonzero(band).tolist():
+        if c < 1.0:
+            out[k] = ((lo[k], hi[k]),) if lo[k] < hi[k] else ()
+        elif lo[k] < hi[k]:
+            out[k] = tuple((a, b) for a, b in ((0, lo[k]), (hi[k], n)) if a < b)
+    return out
 
 
 def proposed_estimate(
@@ -522,18 +465,20 @@ def proposed_estimate(
     equal-variance density with unit denominator mean, numerator mean equal
     to the eigenvalue ratio, and the pooled correlation rho.
 
-    Each component is evaluated only on its support (_kernel_supports), where
-    its value is not provably 0.0, and chunks whose supports all cover the
-    grid are evaluated densely. Each grid point sums its values in component
-    order, the order of the dense column sums, so skipping the exact zeros
-    leaves the bits unchanged.
+    Each component is evaluated in place only on its support
+    (_kernel_supports), off which its value is provably 0.0, and added into
+    its chunk's sum in component order, the order of the dense chunked
+    column sums, so skipping the exact zeros leaves the bits unchanged.
     """
     if t_star <= 0.0:
         raise ValueError(f"bandwidth t* must be positive, got {t_star}")
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
     grid_x = np.asarray(grid_x, dtype=float)
+    kernel = _RatioKernel(grid_x)
+    kernel.prepare(t_star, rho)
     y = np.zeros(grid_x.size)
+    chunk_sum = np.empty(grid_x.size)
     R = sample.R
     # same per-replication accumulation as gaussian_estimate, for the same
     # bit-for-bit mixture-merge property
@@ -543,16 +488,13 @@ def proposed_estimate(
         acc = np.zeros(grid_x.size)
         for k in range(0, pts.size, CHUNK):
             mu = pts[k : k + CHUNK]
-            lo, hi = _kernel_supports(mu, grid_x, t_star, rho)
-            width = hi - lo
-            if np.all(width == grid_x.size):
-                acc += _h_erf_raw(grid_x[None, :], t_star, 1.0, mu[:, None], rho).sum(axis=0)
-                continue
-            # (component, grid index) of every support point, component-major
-            rows = np.repeat(np.arange(mu.size), width)
-            cols = np.arange(rows.size) + np.repeat(lo - (np.cumsum(width) - width), width)
-            vals = _h_erf_raw(grid_x[cols], t_star, 1.0, mu[rows], rho)
-            acc += np.bincount(cols, weights=vals, minlength=grid_x.size)
+            e2 = kernel.cauchy_exp(mu)
+            chunk_sum.fill(0.0)
+            spans = _kernel_supports(mu, grid_x, t_star, rho)
+            for m, e, slices in zip(mu.tolist(), e2.tolist(), spans):
+                for a, b in slices:
+                    chunk_sum[a:b] += kernel.row(m, e, a, b)
+            acc += chunk_sum
         y += acc / (R * pts.size)
     return DensityGrid(x=grid_x, y=y)
 

@@ -221,6 +221,8 @@ def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
     den = np.zeros(4)
     den[: co["q1"].size] += co["q1"]
     den += t * co["q2"]
+    if not np.all(np.isfinite(den)):
+        raise FloatingPointError("the singular-point cubic has non-finite coefficients")
     scale = np.max(np.abs(den))
     if scale == 0.0:
         raise ValueError("denominator is identically zero")

@@ -214,6 +214,127 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
     return term1 + term2
 
 
+class _RatioKernel:
+    """_h_erf_raw(x, t, 1.0, mu, rho) evaluated in place on a fixed increasing grid x.
+
+    prepare(t, rho) fills the per-grid factors once; row(mu, e2, a, b) then
+    writes h for one centre mu on the slice x[a:b] into a preallocated
+    buffer, with e2 = cauchy_exp(mu). Per point it does the IEEE operations
+    of _h_erf_raw, with four shortcuts that keep every bit: the
+    multiplications by nu_v = 1.0 are left out; the exponent's negation moves
+    into the per-grid divisor, d^2 / ((-2t) q), as IEEE division is
+    sign-symmetric; the Cauchy term is left out when e2 is 0.0, since it is
+    then +0.0 (q >= 1 - rho^2 > 0) and term1 is never -0.0; and erf is left
+    out where _saturated_sign proves it is sign(lin) on the whole slice.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self._x_sq = x * x
+        n = x.size
+        # per grid: q, 1 - rho x, x - rho, -2 t q, sqrt(2 pi t q); per row: lin, h, scratch
+        self._q, self._omrx, self._xmr, self._m2tq, self._norm = (np.empty(n) for _ in range(5))
+        self._lin, self._h, self._tmp = (np.empty(n) for _ in range(3))
+        # sqrt(c q) and sqrt(1 - rho^2) / (pi q), filled on first use after prepare
+        self._root, self._cauchy = np.empty(n), np.empty(n)
+
+    def prepare(self, t, rho):
+        x, q = self.x, self._q
+        # q = x^2 - 2 rho x + 1
+        np.multiply(x, 2.0 * rho, out=q)
+        np.subtract(self._x_sq, q, out=q)
+        q += 1.0
+        np.multiply(x, rho, out=self._omrx)
+        np.subtract(1.0, self._omrx, out=self._omrx)
+        np.subtract(x, rho, out=self._xmr)
+        np.multiply(q, -2.0 * t, out=self._m2tq)
+        np.multiply(q, TWO_PI * t, out=self._norm)
+        np.sqrt(self._norm, out=self._norm)
+        self.rho = rho
+        self.one_m_r2 = 1.0 - rho * rho
+        self.c = 2.0 * t * self.one_m_r2
+        self._have_root = self._have_cauchy = False
+
+    def cauchy_exp(self, mu):
+        """The Cauchy term's exp(-(1 - 2 mu rho + mu^2) / (2 t (1 - rho^2))).
+
+        As in _h_erf_raw, a scalar mu is squared by pow and an array mu
+        elementwise, which differ in the last bit on some doubles.
+        """
+        return np.exp((-1.0 + 2.0 * mu * self.rho - np.float64(mu) ** 2) / self.c)
+
+    def _saturated_sign(self, c, mu, a=0, b=None):
+        """s = +-1.0 when erf(lin_i / sqrt(c q_i)) is exactly s on all of x[a:b], else 0.0.
+
+        Reads lin of the last row. With u = 2^-53 and X = max |x| on the slice,
+        which an end has, as the slice is increasing:
+        - lin: the computed lin_i is within E = 4u (1 + X)(1 + |mu|) of the
+          linear l(x) = (1 - rho x) + mu (x - rho) (five roundings, |rho| < 1).
+          If both computed ends have sign s and m = min |lin_end| >= 200 E,
+          then s l >= m - E on the whole slice, and s lin_i >= m - 2E >= 0.99 m,
+          however near the slice l has its root.
+        - q: the computed q_i is within 4u (1 + X)^2 of the convex
+          q(x) = (x - rho)^2 + 1 - rho^2, so q_i <= q_max + 8u (1 + X)^2 with
+          q_max the larger computed end. As q >= (|x| - 1)^2 and, under the
+          rho cap, q >= 1 - rho^2 >= 2.25e-10, (1 + X)^2 <= 7.2e10 q_max, so
+          q_i <= q_max (1 + 1e-4) also where q nears 1 - rho^2.
+        - z: sqrt(c q_i) rounds up by at most (1 + u)^1.5; with
+          m >= 6 sqrt(c q_max) (three roundings) every computed
+          |z_i| >= 0.99 * 6 / (1 + 6e-5) > 5.939, where scipy's erf is exactly
+          +-1.0 (from 5.9216 on), with the sign s of lin_i.
+        """
+        last = (self.x.size if b is None else b) - 1
+        lin0, lin1 = float(self._lin[a]), float(self._lin[last])
+        if lin0 > 0.0 and lin1 > 0.0:
+            sign = 1.0
+        elif lin0 < 0.0 and lin1 < 0.0:
+            sign = -1.0
+        else:
+            return 0.0
+        m = min(abs(lin0), abs(lin1))
+        q_max = max(float(self._q[a]), float(self._q[last]))
+        one_x = 1.0 + max(abs(float(self.x[a])), abs(float(self.x[last])))
+        err = 2.0**-51 * one_x * (1.0 + abs(mu))
+        if 6.0 * math.sqrt(c * q_max) <= m < math.inf and m >= 200.0 * err:
+            return sign
+        return 0.0
+
+    def row(self, mu, e2, a, b):
+        """h on x[a:b] for centre mu, a view of a buffer that the next row overwrites."""
+        q, lin, h, tmp = self._q[a:b], self._lin[a:b], self._h[a:b], self._tmp[a:b]
+        # gauss = exp(-(mu - x)^2 / (2 t q)) / sqrt(2 pi t q), times lin / q
+        np.subtract(mu, self.x[a:b], out=h)
+        np.multiply(h, h, out=h)
+        np.divide(h, self._m2tq[a:b], out=h)
+        np.exp(h, out=h)
+        np.divide(h, self._norm[a:b], out=h)
+        # lin = (1 - rho x) + mu (x - rho)
+        np.multiply(self._xmr[a:b], mu, out=lin)
+        lin += self._omrx[a:b]
+        np.divide(lin, q, out=tmp)
+        h *= tmp
+        # term1 = gauss (lin / q) erf(lin / sqrt(2 t (1 - rho^2) q))
+        sign = self._saturated_sign(self.c, mu, a, b)
+        if sign < 0.0:
+            np.negative(h, out=h)
+        elif sign == 0.0:
+            if not self._have_root:
+                np.multiply(self._q, self.c, out=self._root)
+                np.sqrt(self._root, out=self._root)
+                self._have_root = True
+            np.divide(lin, self._root[a:b], out=tmp)
+            h *= _erf(tmp)
+        # term2 = sqrt(1 - rho^2) / (pi q) e2
+        if e2 != 0.0:
+            if not self._have_cauchy:
+                np.multiply(self._q, np.pi, out=self._cauchy)
+                np.divide(np.sqrt(self.one_m_r2), self._cauchy, out=self._cauchy)
+                self._have_cauchy = True
+            np.multiply(self._cauchy[a:b], e2, out=tmp)
+            h += tmp
+        return h
+
+
 def density_equal_var(spec: EqualVarSpec, x):
     """Equal-variance ratio density via the erf closed form (primary path)."""
     x_arr = np.asarray(x, dtype=float)

@@ -271,6 +271,7 @@ class TestEmit:
             "nfev": list(fit.nfev),
             "converged_starts": fit.n_converged,
             "at_t_cap": fit.at_t_cap,
+            "at_rho_cap": fit.at_rho_cap,
         }
         assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
         assert 1 <= fit.n_converged <= kde.N_STARTS
@@ -282,6 +283,7 @@ class TestEmit:
         for name in ("densities.csv", "modes.json", "params.json"):
             text = (tmp_path / name).read_text()
             assert "nfev" not in text and "converged_starts" not in text
+            assert "at_rho_cap" not in text
 
     def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
         emit(run(micro_config(method="gaussian")), tmp_path)
@@ -348,6 +350,35 @@ class TestCli:
             ]
         )
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "t, nu_w",
+        [
+            # the singular-point cubic's coefficients overflow; h_t, D and C were nan (exit 0)
+            ("0.01", "1e200"),
+            # numpy's "Array must not contain infs or NaNs" from the root search (exit 2)
+            ("0.01", "1e308"),
+            # finite coefficients, but h_t and the residual are nan at every point (exit 0)
+            ("1e300", "0.9"),
+        ],
+    )
+    def test_pde_check_non_finite_table_is_a_numerical_failure(self, t, nu_w, capsys):
+        code = cli.main(
+            [
+                "pde-check",
+                f"--t={t}",
+                f"--nu-w={nu_w}",
+                "--rho", "0.3",
+                "--xmin", "0.7",
+                "--xmax", "1.1",
+                "--points", "3",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_pde_check(self, tmp_path):
         out = tmp_path / "pde.csv"

@@ -2,6 +2,7 @@
 
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.optimize
 from scipy import special
 
 from pencilkde import kde, pde, ratio_density
+from pencilkde.harness import ExperimentConfig, decompose_replications, sample_from_pairs
 from pencilkde.kde import (
     DensityGrid,
     EigenSample,
@@ -26,6 +28,8 @@ from pencilkde.kde import (
 from pencilkde.ratio_density import EqualVarSpec, _derivs_raw, _h_erf_raw, density_equal_var
 
 from conftest import term_relative_residual
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_replication(points):
@@ -125,6 +129,30 @@ def replications(rng, sizes, lo, hi):
     ratio = [rng.uniform(lo, hi, n) for n in sizes]
     ones = [np.ones_like(r) for r in ratio]
     return EigenSample(s=[r.copy() for r in ratio], t=ones, ratio=ratio)
+
+
+# centres across and beyond a grid in (0.85, 0.96): at 2 t 750 > 1 the interval
+# where a component's Gaussian factor is 0.0 then lies inside the grid, touches
+# either end or covers it; shuffled, they fill three chunks of one replication
+# whose sums all reach the grid
+SWEEP = np.random.default_rng(7).permutation(np.linspace(-1.0, 3.0, 1201))
+
+
+def with_sweep(sample):
+    """The sample with one more replication, SWEEP."""
+    return EigenSample(
+        s=sample.s + [SWEEP.copy()],
+        t=sample.t + [np.ones_like(SWEEP)],
+        ratio=sample.ratio + [SWEEP.copy()],
+    )
+
+
+@pytest.fixture(scope="module")
+def model2_pairs():
+    """20 replications of configs/model2.json at seed 0 and its 8,192-point grid."""
+    config = ExperimentConfig.from_json_file(CONFIGS / "model2.json")
+    sample, _ = sample_from_pairs(decompose_replications(config.model, 0, 20))
+    return sample, kde._bin_grid(config.window, config.points)[1]
 
 
 class TestEigenSample:
@@ -356,6 +384,17 @@ class TestFitReference:
         y[3] = y[7] = y[11] = 1.0
         with pytest.raises(ValueError):
             fit_reference(DensityGrid(x=x, y=y))
+
+    def test_at_rho_cap(self, oracle_fit):
+        assert not oracle_fit[2].at_rho_cap
+        # TestFitReferenceObjective's model2-like histogram, whose rho0 runs to the cap
+        rng = np.random.default_rng(2)
+        h_e = synthetic_histogram(
+            rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
+        )
+        fit = fit_reference(h_e)
+        assert fit.at_rho_cap and not fit.at_t_cap
+        assert abs(math.atanh(fit.rho0)) > 0.99 * kde._ARHO_CAP
 
 
 def objective_branch(centers, theta, target=None):
@@ -648,15 +687,51 @@ class TestProposedEstimate:
             (1e-9, 0.3),  # every row banded to a few points or none
             (2e-4, -0.7),
             (1.0 / 1500.0, 0.99),  # 2 t 750 = 1: no band
-            (2e-3, -0.9),  # 2 t 750 > 1 although every Cauchy term is 0.0
+            (2e-3, -0.9),  # 2 t 750 > 1, no zero interval meets the grid
             (0.012, 0.5),  # model1-like: no band
+            # 2 t 750 > 1: the zero interval inside the grid, touching either
+            # end, covering it, and centres near rho whose Cauchy term is not 0.0
+            (2.5e-3, 0.99),
+            (0.01, 0.97),  # the most centres with the interval inside the grid
+            (1e-3, 0.99),  # touching each end for dozens of centres
+            (1.35e-3, 0.9998),  # model2 at its t cap
         ],
     )
     def test_matches_dense_chunked_mixture(self, rng, t_star, rho):
         grid = np.linspace(0.85, 0.96, 2048)
         sample = replications(rng, rng.integers(0, 10, 30), 0.8, 1.0)
+        if 2.0 * t_star * kde._EXP_ZERO > 1.0:
+            sample = with_sweep(sample)
         got = proposed_estimate(sample, grid, t_star, rho).y
         assert same_bits(got, dense_proposed(sample, grid, t_star, rho))
+
+    def test_supports_take_every_shape(self):
+        # the sweep at (2.5e-3, 0.99) on the grid above: the slices of the
+        # support show where the zero interval lies
+        grid = np.linspace(0.85, 0.96, 2048)
+        n = grid.size
+        shapes = kde._kernel_supports(SWEEP, grid, 2.5e-3, 0.99)
+        assert any(len(s) == 2 for s in shapes)  # inside
+        assert any(len(s) == 1 and s[0][0] > 0 and s[0][1] == n for s in shapes)  # at the low end
+        assert any(len(s) == 1 and s[0][0] == 0 and s[0][1] < n for s in shapes)  # at the high end
+        assert any(s == () for s in shapes)  # covering the grid
+
+    @pytest.mark.parametrize("t_star, rho", [(2.5e-3, 0.99), (1.35e-3, 0.9998), (0.01, 0.97)])
+    def test_cauchy_term_is_zero_off_the_support(self, t_star, rho):
+        # a zero interval has real roots only where q(mu) / (2 t (1 - rho^2)) > 750,
+        # so every component that skips grid points has its Cauchy term 0.0
+        grid = np.linspace(0.85, 0.96, 2048)
+        e2 = np.exp((-1.0 + 2.0 * SWEEP * rho - SWEEP**2) / (2.0 * t_star * (1.0 - rho * rho)))
+        shapes = kde._kernel_supports(SWEEP, grid, t_star, rho)
+        assert np.any(e2 != 0.0)
+        assert all(e == 0.0 for e, s in zip(e2, shapes) if s != ((0, grid.size),))
+
+    @pytest.mark.parametrize("t_star", [1.35e-3, 3.85e-5])
+    def test_matches_dense_on_model2_pairs(self, model2_pairs, t_star):
+        # model2 at its t cap (2 t 750 > 1) and with band supports, at its rho_hat
+        sample, grid = model2_pairs
+        got = proposed_estimate(sample, grid, t_star, 0.9998).y
+        assert same_bits(got, dense_proposed(sample, grid, t_star, 0.9998))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_matches_dense_with_all_zero_rows(self, rng):
