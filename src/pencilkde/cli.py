@@ -24,7 +24,9 @@ from .harness import (
     ExperimentConfig,
     PhaseError,
     _csv,
+    _fit_params,
     _mode_payload,
+    _modes_json,
     decompose_record,
     emit,
     estimate_pipeline,
@@ -33,9 +35,9 @@ from .harness import (
 )
 from .kde import DensityGrid, FitNonConvergenceError, extract_modes
 from .multiexp import read_dataset_csv, read_dataset_json
-from .pde import SingularPointError, pde_coefficients, residual, singular_mask
+from .pde import SingularPointError, _residual_row, singular_mask
 from .pencil import DecompositionError
-from .ratio_density import EqualVarSpec, density_equal_var, derivatives
+from .ratio_density import EqualVarSpec, density_equal_var
 
 NUMERICAL_ERRORS = (
     DecompositionError,
@@ -76,12 +78,24 @@ def _add_spec_args(sub) -> None:
     sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
-def _grid(args) -> np.ndarray:
+def _spec_grid(args) -> tuple:
+    """The EqualVarSpec and the x grid of the _add_spec_args options."""
+    spec = EqualVarSpec(nu_v=args.nu_v, nu_w=args.nu_w, rho=args.rho, t=args.t)
     if not args.xmin < args.xmax:
         raise ValueError(f"xmin must be < xmax, got {args.xmin}, {args.xmax}")
     if args.points < 2:
         raise ValueError(f"points must be >= 2, got {args.points}")
-    return np.linspace(args.xmin, args.xmax, args.points)
+    x = np.linspace(args.xmin, args.xmax, args.points)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the grid from {args.xmin} to {args.xmax} is not finite")
+    return spec, x
+
+
+def _finite_row(xi, values) -> tuple:
+    """The table row (xi, *values); FloatingPointError if a value is not finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise FloatingPointError(f"non-finite value at x = {float(xi)!r}")
+    return (xi, *values)
 
 
 def _cmd_simulate(args) -> int:
@@ -110,35 +124,27 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# every row is checked by _finite_row; numpy's overflow warnings would only repeat that
+@np.errstate(all="ignore")
 def _cmd_density(args) -> int:
-    spec = EqualVarSpec(nu_v=args.nu_v, nu_w=args.nu_w, rho=args.rho, t=args.t)
-    x = _grid(args)
+    spec, x = _spec_grid(args)
     h = density_equal_var(spec, x)
-    _write_rows(args.out, ["x", "h"], zip(x, h))
+    _write_rows(args.out, ["x", "h"], [_finite_row(xi, (hi,)) for xi, hi in zip(x, h)])
     return EXIT_OK
 
 
-# h, h_t, D and C are checked below; numpy's overflow warnings would only repeat that
 @np.errstate(all="ignore")
 def _cmd_pde_check(args) -> int:
-    spec = EqualVarSpec(nu_v=args.nu_v, nu_w=args.nu_w, rho=args.rho, t=args.t)
-    x = _grid(args)
+    spec, x = _spec_grid(args)
     tube = singular_mask(spec, spec.t, x)
     rows = []
     for xi, masked in zip(x, tube):
-        if masked:
-            rows.append((xi,) + (float("nan"),) * 6)
-            continue
         try:
-            co = pde_coefficients(spec, xi)
-            h, (h_t, _, _) = density_equal_var(spec, xi), derivatives(spec, xi)
-            res = residual(spec, xi)
+            if masked:
+                raise SingularPointError(f"x = {xi} is in a singular tube")
+            rows.append(_finite_row(xi, _residual_row(spec, xi)))
         except SingularPointError:
             rows.append((xi,) + (float("nan"),) * 6)
-            continue
-        if not all(math.isfinite(v) for v in (h, h_t, co.D, co.C)):
-            raise FloatingPointError(f"h, h_t, D or C is not finite at x = {float(xi)!r}")
-        rows.append((xi, h, h_t, co.D, co.C, co.S, res))
     _write_rows(args.out, ["x", "h", "h_t", "D", "C", "S", "residual"], rows)
     return EXIT_OK
 
@@ -157,15 +163,13 @@ def _cmd_estimate(args) -> int:
     grid = result[args.method]
     _write_rows(out / "density.csv", ["x", "density"], zip(grid.x, grid.y))
     modes = result["modes_" + args.method]
-    (out / "modes.json").write_text(json.dumps(_mode_payload(modes), sort_keys=True) + "\n")
+    (out / "modes.json").write_text(_modes_json(modes))
     params = {
         "counts": counts,
         "method": args.method,
         "rho_hat": result["rho_hat"],
         "skipped_components": result["skipped_components"],
-        "t0": None if result["fit"] is None else result["fit"].t0,
-        "mu0": None if result["fit"] is None else result["fit"].mu0,
-        "rho0": None if result["fit"] is None else result["fit"].rho0,
+        **_fit_params(result["fit"]),
         "t_star": result["t_star"],
         "t_plus": result["t_plus"],
     }
@@ -253,15 +257,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PhaseError as exc:
+    except (PhaseError, *NUMERICAL_ERRORS, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL if isinstance(exc.cause, NUMERICAL_ERRORS) else EXIT_VALIDATION
-    except NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        cause = exc.cause if isinstance(exc, PhaseError) else exc
+        return EXIT_NUMERICAL if isinstance(cause, NUMERICAL_ERRORS) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

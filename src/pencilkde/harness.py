@@ -62,6 +62,11 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
+# config key -> converter of its JSON value, for every key besides "model"
+_CONFIG_KEYS = {"R": int, "N_ref": int, "window": tuple, "points": int,
+                "tau": float, "seed": int, "method": str, "threads": int}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment."""
@@ -101,38 +106,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         cfg = dict(cfg)
-        try:
-            m = dict(cfg.pop("model"))
-        except KeyError:
-            raise ValueError("config missing 'model'") from None
-        n_max = int(cfg.pop("n_max", 512))
-        n = m.get("n", "auto")
-        if n == "auto":
-            m["n"] = select_n(m["zeta"], m["f"], m["sigma"], n_max=n_max)
+        if not {"model", "R", "N_ref", "window"} <= set(cfg):
+            raise ValueError("config requires 'model', 'R', 'N_ref', and 'window'")
+        m = dict(cfg.pop("model"))
+        if m.get("n", "auto") == "auto":
+            m["n"] = select_n(m["zeta"], m["f"], m["sigma"])
         model = SignalModel(
             zeta=tuple(m["zeta"]), f=tuple(m["f"]), sigma=float(m["sigma"]), n=int(m["n"])
         )
-        known = {"R", "N_ref", "window", "points", "tau", "seed", "method", "threads"}
-        unknown = set(cfg) - known
+        unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "R" not in cfg or "N_ref" not in cfg or "window" not in cfg:
-            raise ValueError("config requires 'R', 'N_ref', and 'window'")
-        kwargs = {
-            "R": int(cfg["R"]),
-            "N_ref": int(cfg["N_ref"]),
-            "window": tuple(cfg["window"]),
-        }
-        for key, conv in (
-            ("points", int),
-            ("tau", float),
-            ("seed", int),
-            ("method", str),
-            ("threads", int),
-        ):
-            if key in cfg:
-                kwargs[key] = conv(cfg[key])
-        return cls(model=model, **kwargs)
+        return cls(model=model, **{key: _CONFIG_KEYS[key](v) for key, v in cfg.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -312,8 +297,18 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _mode_payload(modes) -> list:
-    return [{"x": m.x, "height": m.height} for m in modes]
+def _mode_payload(modes) -> list | None:
+    return None if modes is None else [{"x": m.x, "height": m.height} for m in modes]
+
+
+def _modes_json(modes) -> str:
+    """modes.json text: the mode list on one line."""
+    return json.dumps(_mode_payload(modes), sort_keys=True) + "\n"
+
+
+def _fit_params(fit: FitResult | None) -> dict:
+    """The reference fit's t0, mu0 and rho0 for params.json; None without a fit."""
+    return {name: None if fit is None else getattr(fit, name) for name in ("t0", "mu0", "rho0")}
 
 
 def _csv(header, rows) -> str:
@@ -357,26 +352,20 @@ def emit(report: ExperimentReport, out_dir) -> list:
     header = ["x", "reference", "empirical", "gaussian", "proposed"]
     _write(out / "densities.csv", _csv(header, zip(*columns)))
 
-    _write(out / "modes.json", json.dumps(_mode_payload(report.modes), sort_keys=True) + "\n")
+    _write(out / "modes.json", _modes_json(report.modes))
 
     params = {
         "config": cfg.to_dict(),
         "p": cfg.model.n // 2,
-        "t0": None if report.fit is None else report.fit.t0,
-        "mu0": None if report.fit is None else report.fit.mu0,
-        "rho0": None if report.fit is None else report.fit.rho0,
+        **_fit_params(report.fit),
         "fit_objective": None if report.fit is None else report.fit.objective,
         "rho_hat": report.rho_hat,
         "t_star": report.t_star,
         "t_plus": report.t_plus,
         "skipped_components": report.skipped_components,
         "counts": report.counts,
-        "modes_gaussian": None
-        if report.modes_gaussian is None
-        else _mode_payload(report.modes_gaussian),
-        "modes_proposed": None
-        if report.modes_proposed is None
-        else _mode_payload(report.modes_proposed),
+        "modes_gaussian": _mode_payload(report.modes_gaussian),
+        "modes_proposed": _mode_payload(report.modes_proposed),
     }
     _write(out / "params.json", json.dumps(params, sort_keys=True, indent=2) + "\n")
 

@@ -119,9 +119,6 @@ class DensityGrid:
         if not np.all(np.isfinite(self.y)):
             raise ValueError("density values must be finite")
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.y, self.x))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -200,15 +197,15 @@ def gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> Dens
     return DensityGrid(x=grid_x, y=y)
 
 
-def gaussian_bandwidth(sample: EigenSample, n_nominal: int | None = None) -> float:
+def gaussian_bandwidth(sample: EigenSample) -> float:
     """Rule-of-thumb Gaussian bandwidth (variance parametrization).
 
     t+ = (0.9 A N^(-1/5))^2 with A = min(sd, IQR/1.349) over the pooled
     ratio vector. Near-singular pencils throw wild ratios, so the raw
     standard deviation can be arbitrarily inflated by a single block and the
-    quartile spread takes over. N defaults to sample.blocks_total (the
-    nominal pencil size R*p, counting the discarded complex pairs toward the
-    resolution the sample was drawn at), else to the kept count.
+    quartile spread takes over. N is sample.blocks_total (the nominal pencil
+    size R*p, counting the discarded complex pairs toward the resolution the
+    sample was drawn at) when known, else the kept count.
     """
     pooled, _ = sample.pooled()
     if pooled.size < 2:
@@ -217,9 +214,7 @@ def gaussian_bandwidth(sample: EigenSample, n_nominal: int | None = None) -> flo
     scale = min(float(np.std(pooled)), float(q75 - q25) / 1.349)
     if scale <= 0.0:
         raise ValueError("degenerate sample: zero scale")
-    if n_nominal is None:
-        n_nominal = sample.blocks_total or pooled.size
-    n_nominal = int(n_nominal)
+    n_nominal = int(sample.blocks_total or pooled.size)
     if n_nominal < 2:
         raise ValueError(f"invalid nominal sample size {n_nominal}")
     return (0.9 * scale * n_nominal ** (-0.2)) ** 2

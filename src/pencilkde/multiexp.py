@@ -120,11 +120,7 @@ def select_n(zeta, f, sigma: float, n_max: int = 512) -> int:
             break
         power = power * zeta
         k += 1
-    if k > n_max:
-        warnings.warn(
-            f"signal-length rule hit the cap n_max={n_max}", RuntimeWarning, stacklevel=2
-        )
-        return n_max
+    # n exceeds n_max only when the loop ran out, at k = n_max + 1
     n = k if k % 2 == 0 else k + 1
     if n > n_max:
         warnings.warn(

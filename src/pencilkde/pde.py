@@ -9,12 +9,17 @@ real points where D and C blow up; callers must keep clear of those roots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ratio_density import EqualVarSpec, _moment_coefficients, density_equal_var, derivatives
+from .ratio_density import (
+    EqualVarSpec,
+    _abc_equal_var,
+    _moment_coefficients,
+    density_equal_var,
+    derivatives,
+)
 from .specfun import moment_recurrence
 
 # denominator magnitudes below EPS_DENOM * (largest term) count as singular
@@ -25,7 +30,6 @@ TUBE_HALF_WIDTH = 1e-3
 __all__ = [
     "PdeCoefficients",
     "GCoefficients",
-    "OperatorSpec",
     "SingularPointError",
     "polynomials",
     "polynomial_coefficients",
@@ -34,7 +38,6 @@ __all__ = [
     "g_coefficients",
     "diffusion_x_derivative",
     "residual",
-    "positivity_interval",
     "singular_mask",
 ]
 
@@ -58,23 +61,6 @@ class GCoefficients:
 
     G_x: float
     G_xx: float
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Equal-variance parameters with the evolution operator frozen at t0."""
-
-    params: EqualVarSpec
-    t0: float
-
-    def __post_init__(self):
-        if self.params.nu_v == 0.0:
-            raise ValueError("operator requires nu_v != 0")
-        if not (math.isfinite(self.t0) and self.t0 > 0.0):
-            raise ValueError(f"t0 must be finite and positive, got {self.t0}")
-
-    def at_t0(self) -> EqualVarSpec:
-        return EqualVarSpec(self.params.nu_v, self.params.nu_w, self.params.rho, self.t0)
 
 
 def _poly_terms(nu_v, nu_w, rho, x):
@@ -254,7 +240,7 @@ def singular_mask(spec: EqualVarSpec, t: float, x, half_width: float = TUBE_HALF
 
 
 def _coeffs_raw(nu_v, nu_w, rho, t, x, co=None):
-    """(D, C, S, denom, denom_scale) arrays; C uses the quotient-rule form."""
+    """(D, C, S, denom, denom_scale, dD/dx) arrays; C and dD/dx use the quotient rule."""
     if co is None:
         co = _poly_coeff_arrays(nu_v, nu_w, rho)
     pv = np.polynomial.polynomial.polyval
@@ -273,36 +259,35 @@ def _coeffs_raw(nu_v, nu_w, rho, t, x, co=None):
     # callers reject den inside the singular tube after the fact
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = p3 / den
-        conv = (
-            (p1 + t * p2) / (t * den) - dp3 / den + p3 * (dq1 + t * dq2) / (den * den)
-        )
+        dp3_den = dp3 / den
+        quot = p3 * (dq1 + t * dq2) / (den * den)
+        conv = (p1 + t * p2) / (t * den) - dp3_den + quot
+        diff_x = dp3_den - quot
     src = (nu_v * nu_v + nu_w * nu_w - 2.0 * rho * nu_v * nu_w) / (
         2.0 * t * t * (1.0 - rho * rho)
     ) - 1.0 / t
-    return diff, conv, src, den, den_scale
+    return diff, conv, src, den, den_scale, diff_x
+
+
+def _checked_coeffs(spec: EqualVarSpec, x: float) -> tuple:
+    """(D, C, S, dD/dx) as floats at scalar x; SingularPointError in the tube."""
+    d, c, s, den, scale, d_x = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, x)
+    if abs(den) <= EPS_DENOM * scale:
+        raise SingularPointError(
+            f"x = {x} is within the singular tube of the denominator cubic"
+        )
+    return float(d), float(c), float(s), float(d_x)
 
 
 def pde_coefficients(spec: EqualVarSpec, x) -> PdeCoefficients:
     """Diffusion/convection/source coefficients at scalar x and t = spec.t."""
-    xf = float(x)
-    d, c, s, den, scale = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, xf)
-    if abs(den) <= EPS_DENOM * scale:
-        raise SingularPointError(
-            f"x = {xf} is within the singular tube of the denominator cubic"
-        )
-    return PdeCoefficients(D=float(d), C=float(c), S=float(s))
+    return PdeCoefficients(*_checked_coeffs(spec, float(x))[:3])
 
 
 def diffusion_x_derivative(spec: EqualVarSpec, x):
     """Analytic d/dx of the diffusion coefficient via the quotient rule."""
-    co = polynomial_coefficients(spec)
-    pv = np.polynomial.polynomial.polyval
     x_arr = np.asarray(x, dtype=float)
-    p3 = pv(x_arr, co["p3"])
-    dp3 = pv(x_arr, co["dp3"])
-    den = pv(x_arr, co["q1"]) + spec.t * pv(x_arr, co["q2"])
-    dden = pv(x_arr, co["dq1"]) + spec.t * pv(x_arr, co["dq2"])
-    out = dp3 / den - p3 * dden / (den * den)
+    out = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, x_arr)[5]
     if x_arr.ndim == 0:
         return float(out)
     return out
@@ -320,9 +305,7 @@ def g_coefficients(spec: EqualVarSpec, x) -> GCoefficients:
     """
     nv, nw, r, t = spec.nu_v, spec.nu_w, spec.rho, spec.t
     xf = float(x)
-    denom = 2.0 * (1.0 - r * r) * t
-    a = (1.0 - 2.0 * r * xf + xf * xf) / denom
-    b = (nv - r * nw + (nw - r * nv) * xf) / denom
+    a, b, _ = _abc_equal_var(xf, t, nv, nw, r)
     at, bt, _, ax, bx, exx, fxx, axx = _moment_coefficients(xf, t, nv, nw, r)
 
     w1, w2, w3, w4 = moment_recurrence(a, b)
@@ -339,40 +322,15 @@ def g_coefficients(spec: EqualVarSpec, x) -> GCoefficients:
     )
 
 
+def _residual_row(spec: EqualVarSpec, x) -> tuple:
+    """(h, h_t, D, C, S, residual) at scalar x; SingularPointError in the tube."""
+    xf = float(x)
+    d, c, s, d_x = _checked_coeffs(spec, xf)
+    h = density_equal_var(spec, xf)
+    h_t, h_x, h_xx = derivatives(spec, xf)
+    return h, h_t, d, c, s, h_t - (d * h_xx + (d_x + c) * h_x + s * h)
+
+
 def residual(spec: EqualVarSpec, x) -> float:
     """h_t - (d/dx[D h_x] + C h_x + S h) at scalar x; ~0 away from singular tubes."""
-    coeffs = pde_coefficients(spec, x)
-    d_x = diffusion_x_derivative(spec, x)
-    h = density_equal_var(spec, x)
-    h_t, h_x, h_xx = derivatives(spec, x)
-    return h_t - (coeffs.D * h_xx + (d_x + coeffs.C) * h_x + coeffs.S * h)
-
-
-def positivity_interval(
-    op: OperatorSpec,
-    window: tuple[float, float],
-    n_probe: int = 201,
-    t_decades: tuple[float, float] = (-6.0, 2.0),
-    n_t: int = 33,
-):
-    """Probe D(x, t) > 0 on the window across a log-spaced t set.
-
-    Returns (all_positive, first_violating_x); points inside singular tubes
-    are skipped.
-    """
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"window must be increasing, got {window}")
-    xs = np.linspace(lo, hi, n_probe)
-    ts = np.logspace(t_decades[0], t_decades[1], n_t)
-    ts = np.append(ts, op.t0)
-    co = polynomial_coefficients(op.params)
-    for t in ts:
-        d, _, _, den, scale = _coeffs_raw(
-            op.params.nu_v, op.params.nu_w, op.params.rho, float(t), xs, co=co
-        )
-        ok = np.abs(den) > EPS_DENOM * np.maximum(scale, 1e-300)
-        bad = ok & (d <= 0.0)
-        if np.any(bad):
-            return False, float(xs[np.argmax(bad)])
-    return True, None
+    return _residual_row(spec, x)[5]

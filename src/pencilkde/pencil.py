@@ -9,7 +9,6 @@ feed the downstream density estimators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "real_pairs",
     "real_pairs_fast",
     "vandermonde_solve",
-    "error_scale",
 ]
 
 
@@ -229,23 +227,3 @@ def vandermonde_solve(xi: np.ndarray, samples: np.ndarray) -> ExponentialFit:
     if not np.all(np.isfinite(f)) or resid > 1e-8 * max(scale, 1.0):
         raise ValueError(f"vandermonde solve ill-conditioned: residual {resid:.3e}")
     return ExponentialFit(zeta=xi, f=f)
-
-
-def error_scale(f: np.ndarray, zeta: np.ndarray, sigma: float) -> float:
-    """Ill-posedness scalar sigma^2 / (prod_i f_i * prod_{i<j} (zeta_i - zeta_j)^6).
-
-    Grows without bound as decay ratios coalesce; duplicate ratios give +inf.
-    """
-    f = np.asarray(f, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if f.size != zeta.size or f.size == 0:
-        raise ValueError("f and zeta must be equal-length, nonempty")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    denom = float(np.prod(f))
-    for i in range(zeta.size):
-        for j in range(i + 1, zeta.size):
-            denom *= (zeta[i] - zeta[j]) ** 6
-    if denom == 0.0:
-        return math.inf
-    return sigma * sigma / denom

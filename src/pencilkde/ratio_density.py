@@ -125,15 +125,20 @@ def abc_general(spec: GeneralGaussianSpec, x):
     return AbcCoefficients(a=a, b=b, c=c, d=det)
 
 
+def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
+    """Exponent coefficients (a, b, c) of the equal-variance family; broadcasts."""
+    denom = 2.0 * (1.0 - rho * rho) * t
+    a = (1.0 - 2.0 * rho * x + x * x) / denom
+    b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
+    c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
+    return a, b, c
+
+
 def abc_equal_var(spec: EqualVarSpec, x):
     """Exponent coefficients of the equal-variance family."""
     x = np.asarray(x, dtype=float)
-    nv, nw, r, t = spec.nu_v, spec.nu_w, spec.rho, spec.t
-    denom = 2.0 * (1.0 - r * r) * t
-    a = (1.0 - 2.0 * r * x + x * x) / denom
-    b = (nv - r * nw + (nw - r * nv) * x) / denom
-    c = (nv * nv - 2.0 * r * nw * nv + nw * nw) / denom
-    d = (1.0 - r * r) * t * t
+    a, b, c = _abc_equal_var(x, spec.t, spec.nu_v, spec.nu_w, spec.rho)
+    d = (1.0 - spec.rho * spec.rho) * spec.t * spec.t
     if a.ndim == 0:
         return AbcCoefficients(a=float(a), b=float(b), c=c, d=d)
     return AbcCoefficients(a=a, b=b, c=c, d=d)
@@ -163,17 +168,21 @@ def density_general(spec: GeneralGaussianSpec, x):
     return out
 
 
-def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
-    """Direct 1F1 form of the general density (cross-check path; scalar x).
+def _density_hyp(co: AbcCoefficients) -> float:
+    """e^-c / (2 pi sqrt(d) a) 1F1(1; 1/2; b^2/a) from scalar coefficients.
 
     The exponents are combined as exp(z - c) with z = b^2/a <= c, so the
     evaluation stays finite even when both factors are out of double range.
     """
-    co = abc_general(spec, float(x))
     z = co.b * co.b / co.a
     return math.exp(z - co.c) / (TWO_PI * math.sqrt(co.d) * co.a) * hyp1f1_half_scaled(
         1.0, 0.5, z
     )
+
+
+def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
+    """Direct 1F1 form of the general density (cross-check path; scalar x)."""
+    return _density_hyp(abc_general(spec, float(x)))
 
 
 def _erf(z):
@@ -346,11 +355,7 @@ def density_equal_var(spec: EqualVarSpec, x):
 
 def density_equal_var_hyp(spec: EqualVarSpec, x) -> float:
     """1F1 form of the equal-variance density (cross-check path; scalar x)."""
-    co = abc_equal_var(spec, float(x))
-    z = co.b * co.b / co.a
-    return math.exp(z - co.c) / (TWO_PI * math.sqrt(co.d) * co.a) * hyp1f1_half_scaled(
-        1.0, 0.5, z
-    )
+    return _density_hyp(abc_equal_var(spec, float(x)))
 
 
 def density_scaled(spec: EqualVarSpec, x):
@@ -414,10 +419,7 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     weights W1..W4.
     """
     x = np.asarray(x, dtype=float)
-    denom = 2.0 * (1.0 - rho * rho) * t
-    a = (1.0 - 2.0 * rho * x + x * x) / denom
-    b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
-    c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
+    a, b, c = _abc_equal_var(x, t, nu_v, nu_w, rho)
     at, bt, ct, ax, bx, exx, fxx, axx = _moment_coefficients(x, t, nu_v, nu_w, rho)
 
     w1, w2, w3, w4 = moment_recurrence(a, b)
@@ -473,8 +475,8 @@ def _adaptive_simpson(f, lo, hi, tol, max_depth=40):
     return recurse(lo, fa, m, fm, hi, fb, whole, tol, 0)
 
 
-def integrate_density(spec, tol: float = 1e-9) -> float:
-    """Total mass of the ratio density over the real line.
+def integrate_density(spec) -> float:
+    """Total mass of the ratio density over the real line, to within about 1e-9.
 
     Compactifies with x = tan(u) and integrates adaptively; the transformed
     integrand is smooth because the density decays like 1/x^2.
@@ -500,7 +502,7 @@ def integrate_density(spec, tol: float = 1e-9) -> float:
     if spec.nu_v != 0.0:
         breaks.add(math.atan(spec.nu_w / spec.nu_v))
     pts = sorted(breaks)
-    per_panel = tol / (len(pts) - 1)
+    per_panel = 1e-9 / (len(pts) - 1)
     return sum(
         _adaptive_simpson(g, lo, hi, per_panel) for lo, hi in zip(pts[:-1], pts[1:])
     )

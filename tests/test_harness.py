@@ -1,10 +1,17 @@
 """End-to-end pipeline: config, deterministic runs, emitted files, CLI."""
 
+import contextlib
+import io
 import json
+import math
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilkde import cli, kde, pencil
 from pencilkde.harness import (
@@ -38,6 +45,22 @@ def micro_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+# extreme finite floats, the ends of the correlation range, +-inf and NaN
+EXTREMES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-3, 0.3, -0.3, 0.9, 1.0,
+    0.999999, -0.999999, 1.0 - 2.0**-53, -1.0 + 2.0**-53,
+    1e100, 1.4e154, 1e200, 1e300, -1e300, sys.float_info.max, -sys.float_info.max,
+    math.inf, -math.inf, math.nan,
+]
+ANY_FLOAT = st.one_of(st.sampled_from(EXTREMES), st.floats())
+# arbitrary, empty and one-ulp windows
+WINDOW = st.one_of(
+    st.tuples(ANY_FLOAT, ANY_FLOAT),
+    ANY_FLOAT.map(lambda v: (v, v)),
+    ANY_FLOAT.map(lambda v: (v, math.nextafter(v, math.inf))),
+)
 
 
 def micro_config_dict(**overrides):
@@ -360,6 +383,8 @@ class TestCli:
             ("0.01", "1e308"),
             # finite coefficients, but h_t and the residual are nan at every point (exit 0)
             ("1e300", "0.9"),
+            # h = h_t = 0, but h_xx and so the residual are nan (exit 0)
+            ("1e-3", "1e100"),
         ],
     )
     def test_pde_check_non_finite_table_is_a_numerical_failure(self, t, nu_w, capsys):
@@ -379,6 +404,46 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # 2 nu_v nu_w rho overflows in the Cauchy term, which is nan
+            ["--t", "1", "--nu-w", "1.7976931348623157e308", "--rho", "0.999999",
+             "--xmin", "0.7", "--xmax", "1.1"],
+            # q = x^2 overflows at both ends
+            ["--t", "1", "--nu-w", "0.9", "--xmin=-1e300", "--xmax=1e300"],
+        ],
+    )
+    def test_density_non_finite_table_is_a_numerical_failure(self, args, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["density", *args, "--points", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert caught == []
+
+    @pytest.mark.parametrize("command", ["density", "pde-check"])
+    @given(t=ANY_FLOAT, nu_w=ANY_FLOAT, rho=ANY_FLOAT, window=WINDOW, points=st.integers(1, 3))
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    def test_exit_code_sweep(self, command, t, nu_w, rho, window, points):
+        argv = [command, f"--t={t!r}", f"--nu-w={nu_w!r}", f"--rho={rho!r}",
+                f"--xmin={window[0]!r}", f"--xmax={window[1]!r}", f"--points={points}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            return
+        rows = [[float(v) for v in line.split(",")] for line in out.getvalue().splitlines()[1:]]
+        assert len(rows) == points
+        for x, *values in rows:
+            # pde-check leaves the rows in the singular tubes all nan
+            masked = command == "pde-check" and all(math.isnan(v) for v in values)
+            assert math.isfinite(x) and (masked or all(math.isfinite(v) for v in values))
 
     def test_pde_check(self, tmp_path):
         out = tmp_path / "pde.csv"

@@ -53,7 +53,7 @@ def loop_t_star_details(sample, fit, rho_hat, window):
     valid = np.zeros(pooled.size, dtype=bool)
     for i, xi in enumerate(pooled):
         co = pde._poly_coeff_arrays(1.0, float(xi), rho)
-        d, _, _, den, scale = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi), co=co)
+        d, _, _, den, scale, _ = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi), co=co)
         if abs(den) > pde.EPS_DENOM * max(scale, 1e-300) and d > 0.0:
             inv_sqrt[i] = 1.0 / math.sqrt(d)
             valid[i] = True

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pencilkde.pde import (
-    OperatorSpec,
     SingularPointError,
     cubic_real_roots,
     diffusion_x_derivative,
@@ -14,7 +13,6 @@ from pencilkde.pde import (
     pde_coefficients,
     polynomial_coefficients,
     polynomials,
-    positivity_interval,
     residual,
     singular_mask,
 )
@@ -318,53 +316,3 @@ class TestResidual:
         root = cubic_real_roots(spec, spec.t)[0]
         with pytest.raises(SingularPointError):
             residual(spec, root)
-
-
-class TestOperatorSpec:
-    def test_validation(self):
-        good = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.5, t=0.1)
-        with pytest.raises(ValueError):
-            OperatorSpec(params=good, t0=0.0)
-        with pytest.raises(ValueError):
-            OperatorSpec(params=EqualVarSpec(nu_v=0.0, nu_w=1.0, rho=0.5, t=0.1), t0=0.1)
-
-    def test_at_t0(self):
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.5, t=0.1)
-        op = OperatorSpec(params=spec, t0=0.07)
-        frozen = op.at_t0()
-        assert frozen.t == 0.07
-        assert frozen.nu_w == spec.nu_w
-
-
-class TestPositivityInterval:
-    def test_high_correlation_window_positive(self):
-        # the positive set around nu_w/nu_v at rho=0.999 spans roughly
-        # (0.876, 0.933) for t near 0.11 and shrinks onto 0.9 as t -> 0,
-        # so the diagnostic holds on an inner window and a t range near t0
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.999, t=0.11)
-        op = OperatorSpec(params=spec, t0=0.11)
-        ok, where = positivity_interval(op, (0.88, 0.92), t_decades=(-1.0, 0.0))
-        assert ok is True
-        assert where is None
-
-    def test_violation_outside_positive_set_is_reported(self):
-        # the window edge x=0.85 lies outside the positive set at every t
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.999, t=0.11)
-        op = OperatorSpec(params=spec, t0=0.11)
-        ok, where = positivity_interval(op, (0.85, 0.95))
-        assert ok is False
-        assert where == pytest.approx(0.85)
-
-    def test_out_of_hypothesis_outcome_is_reported(self):
-        # theorem does not cover rho=0 on a wide window; record, don't gate
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.0, t=0.1)
-        op = OperatorSpec(params=spec, t0=0.1)
-        ok, where = positivity_interval(op, (-3.0, 3.0))
-        assert isinstance(ok, bool)
-        assert where is None or isinstance(where, float)
-
-    def test_rejects_bad_window(self):
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.5, t=0.1)
-        op = OperatorSpec(params=spec, t0=0.1)
-        with pytest.raises(ValueError):
-            positivity_interval(op, (1.0, 1.0))

@@ -1,6 +1,5 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ from pencilkde.harness import ExperimentConfig
 from pencilkde.multiexp import generate, noiseless
 from pencilkde.pencil import (
     build_pencil,
-    error_scale,
     qz,
     real_pairs,
     real_pairs_fast,
@@ -227,31 +225,6 @@ class TestVandermondeSolve:
     def test_rejects_short_sample_vector(self):
         with pytest.raises(ValueError):
             vandermonde_solve(np.array([0.5, 0.7]), np.array([1.0]))
-
-
-class TestErrorScale:
-    def test_single_component(self):
-        assert error_scale(np.array([2.0]), np.array([0.9]), 0.1) == pytest.approx(
-            0.01 / 2.0, rel=1e-14
-        )
-
-    def test_model1_value(self):
-        sigma = 1.5e-3
-        want = sigma**2 / ((0.1 * 0.15 * 0.05) ** 6 * 1.0)
-        got = error_scale(np.ones(3), MODEL1_ZETA, sigma)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_sigma_homogeneity(self):
-        f = np.array([1.0, -0.5])
-        zeta = np.array([0.3, 0.8])
-        base = error_scale(f, zeta, 0.02)
-        for alpha in (2.0, 7.5):
-            assert error_scale(f, zeta, alpha * 0.02) == pytest.approx(
-                alpha**2 * base, rel=1e-12
-            )
-
-    def test_duplicate_zeta_signals_infinity(self):
-        assert math.isinf(error_scale(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.1))
 
 
 class TestNoiselessRecovery:
