@@ -100,17 +100,8 @@ def _finite_row(xi, values) -> tuple:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.replications is not None:
-        overrides["R"] = args.replications
-    if args.n_ref is not None:
-        overrides["N_ref"] = args.n_ref
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    overrides = {"seed": args.seed, "threads": args.threads}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     report = run(config)
     emit(report, args.out)
     print(f"wrote {args.out}/densities.csv modes.json params.json metadata.json")
@@ -222,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--threads", type=int, default=None, help="override config threads")
-    p.add_argument("--replications", type=int, default=None, help="override estimation R")
-    p.add_argument("--n-ref", type=int, default=None, help="override reference count N_ref")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 

@@ -62,9 +62,30 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
-# config key -> converter of its JSON value, for every key besides "model"
-_CONFIG_KEYS = {"R": int, "N_ref": int, "window": tuple, "points": int,
-                "tau": float, "seed": int, "method": str, "threads": int}
+def _signal_model(value) -> SignalModel:
+    """The SignalModel of a config's "model" object; n "auto" (or absent) runs select_n."""
+    m = dict(value)
+    n = m.get("n", "auto")
+    n = select_n(m["zeta"], m["f"], m["sigma"]) if n == "auto" else int(n)
+    return SignalModel(zeta=tuple(m["zeta"]), f=tuple(m["f"]), sigma=float(m["sigma"]), n=n)
+
+
+def _pair(value) -> tuple:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# config key -> converter of its JSON value
+_CONFIG_KEYS = {"model": _signal_model, "R": int, "N_ref": int, "window": _pair,
+                "points": int, "tau": float, "seed": int, "method": str, "threads": int}
+
+
+def _convert(key: str, value):
+    """_CONFIG_KEYS[key](value), failing with a ValueError that names the key."""
+    try:
+        return _CONFIG_KEYS[key](value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key!r}: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -105,19 +126,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        cfg = dict(cfg)
         if not {"model", "R", "N_ref", "window"} <= set(cfg):
             raise ValueError("config requires 'model', 'R', 'N_ref', and 'window'")
-        m = dict(cfg.pop("model"))
-        if m.get("n", "auto") == "auto":
-            m["n"] = select_n(m["zeta"], m["f"], m["sigma"])
-        model = SignalModel(
-            zeta=tuple(m["zeta"]), f=tuple(m["f"]), sigma=float(m["sigma"]), n=int(m["n"])
-        )
         unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(model=model, **{key: _CONFIG_KEYS[key](v) for key, v in cfg.items()})
+        return cls(**{key: _convert(key, v) for key, v in cfg.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

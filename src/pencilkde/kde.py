@@ -84,10 +84,6 @@ class EigenSample:
     def R(self) -> int:
         return len(self.ratio)
 
-    @property
-    def p_r(self) -> np.ndarray:
-        return np.array([a.size for a in self.ratio], dtype=int)
-
     def pooled(self):
         """(ratios, weights) flattened; weight 1/(R p_r) per eigenvalue."""
         R = self.R

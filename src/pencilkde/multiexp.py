@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _UINT64_MASK = (1 << 64) - 1
+N_MAX = 512  # cap of the signal-length rule
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,6 @@ class Dataset:
         if self.data.ndim != 2:
             raise ValueError("data must be a 2-d replication matrix")
 
-    @property
-    def replications(self) -> int:
-        return self.data.shape[0]
-
 
 def noiseless(zeta, f, n: int) -> np.ndarray:
     """Exact d_k = sum_j f_j zeta_j^(k-1) for k = 1..n."""
@@ -101,32 +98,30 @@ def generate(model: SignalModel, seed: int, r: int) -> np.ndarray:
     return clean + model.sigma * rng.standard_normal(model.n)
 
 
-def select_n(zeta, f, sigma: float, n_max: int = 512) -> int:
+def select_n(zeta, f, sigma: float) -> int:
     """Smallest k with |noiseless d_k| < sigma, rounded up to the next even n.
 
-    Capped at n_max (reported with a warning); sigma larger than |d_1| gives
+    Capped at N_MAX (reported with a warning); sigma larger than |d_1| gives
     the minimal even length 2.
     """
     zeta = np.asarray(zeta, dtype=float)
     f = np.asarray(f, dtype=float)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive for the length rule")
-    if n_max < 2 or n_max % 2 != 0:
-        raise ValueError(f"n_max must be even and >= 2, got {n_max}")
     k = 1
     power = np.ones_like(zeta)
-    while k <= n_max:
+    while k <= N_MAX:
         if abs(float((f * power).sum())) < sigma:
             break
         power = power * zeta
         k += 1
-    # n exceeds n_max only when the loop ran out, at k = n_max + 1
+    # n exceeds N_MAX only when the loop ran out, at k = N_MAX + 1
     n = k if k % 2 == 0 else k + 1
-    if n > n_max:
+    if n > N_MAX:
         warnings.warn(
-            f"signal-length rule hit the cap n_max={n_max}", RuntimeWarning, stacklevel=2
+            f"signal-length rule hit the cap N_MAX={N_MAX}", RuntimeWarning, stacklevel=2
         )
-        return n_max
+        return N_MAX
     return n
 
 

@@ -9,8 +9,6 @@ real points where D and C blow up; callers must keep clear of those roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ratio_density import (
@@ -24,19 +22,14 @@ from .specfun import moment_recurrence
 
 # denominator magnitudes below EPS_DENOM * (largest term) count as singular
 EPS_DENOM = 1e-12
-# default half-width of the exclusion tube around each real denominator root
+# half-width of the exclusion tube around each real denominator root
 TUBE_HALF_WIDTH = 1e-3
 
 __all__ = [
-    "PdeCoefficients",
-    "GCoefficients",
     "SingularPointError",
-    "polynomials",
-    "polynomial_coefficients",
     "cubic_real_roots",
     "pde_coefficients",
     "g_coefficients",
-    "diffusion_x_derivative",
     "residual",
     "singular_mask",
 ]
@@ -44,23 +37,6 @@ __all__ = [
 
 class SingularPointError(ArithmeticError):
     """Evaluation point too close to a real root of the denominator cubic."""
-
-
-@dataclass(frozen=True)
-class PdeCoefficients:
-    """Diffusion D, convection C, source S at one (x, t)."""
-
-    D: float
-    C: float
-    S: float
-
-
-@dataclass(frozen=True)
-class GCoefficients:
-    """Coefficients of h_t = S h + G_x h_x + G_xx h_xx at one (x, t)."""
-
-    G_x: float
-    G_xx: float
 
 
 def _poly_terms(nu_v, nu_w, rho, x):
@@ -98,20 +74,6 @@ def _poly_terms(nu_v, nu_w, rho, x):
     return p1, p2, p3, q1, q2
 
 
-def polynomials(spec: EqualVarSpec, x):
-    """(P1, P2, P3, Q1, Q2) at x, from the factored closed forms."""
-    x_arr = np.asarray(x, dtype=float)
-    vals = _poly_terms(spec.nu_v, spec.nu_w, spec.rho, x_arr)
-    if x_arr.ndim == 0:
-        return tuple(float(v) for v in vals)
-    return vals
-
-
-def polynomial_coefficients(spec: EqualVarSpec) -> dict:
-    """Expanded coefficient arrays (ascending degree) of P1..Q2 and derivatives."""
-    return _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
-
-
 def _p3_factor(nv, nw, r) -> list:
     """Ascending coefficients of the cubic with P3 = (1 - 2 r x + x^2)^2 * cubic.
 
@@ -135,6 +97,7 @@ def _q_coeffs(nv, nw, r) -> tuple:
 
 
 def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
+    """Expanded coefficient arrays (ascending degree) of P1..Q2 and derivatives."""
     pm = np.polynomial.polynomial.polymul
     quad = np.array([1.0, -2.0 * r, 1.0])  # 1 - 2 r x + x^2
     wmvx2 = np.array([nw * nw, -2.0 * nv * nw, nv * nv])  # (nu_w - nu_v x)^2
@@ -203,10 +166,10 @@ def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    co = polynomial_coefficients(spec)
+    q1, q2 = (np.array(c) for c in _q_coeffs(spec.nu_v, spec.nu_w, spec.rho))
     den = np.zeros(4)
-    den[: co["q1"].size] += co["q1"]
-    den += t * co["q2"]
+    den[: q1.size] += q1
+    den += t * q2
     if not np.all(np.isfinite(den)):
         raise FloatingPointError("the singular-point cubic has non-finite coefficients")
     scale = np.max(np.abs(den))
@@ -229,13 +192,13 @@ def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
     return np.sort(real)
 
 
-def singular_mask(spec: EqualVarSpec, t: float, x, half_width: float = TUBE_HALF_WIDTH):
-    """Boolean mask of points within half_width of a real denominator root."""
+def singular_mask(spec: EqualVarSpec, t: float, x):
+    """Boolean mask of points within TUBE_HALF_WIDTH of a real denominator root."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     roots = cubic_real_roots(spec, t)
     mask = np.zeros(x_arr.shape, dtype=bool)
     for r in roots:
-        mask |= np.abs(x_arr - r) < half_width
+        mask |= np.abs(x_arr - r) < TUBE_HALF_WIDTH
     return mask
 
 
@@ -269,32 +232,22 @@ def _coeffs_raw(nu_v, nu_w, rho, t, x, co=None):
     return diff, conv, src, den, den_scale, diff_x
 
 
-def _checked_coeffs(spec: EqualVarSpec, x: float) -> tuple:
-    """(D, C, S, dD/dx) as floats at scalar x; SingularPointError in the tube."""
-    d, c, s, den, scale, d_x = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, x)
+def pde_coefficients(spec: EqualVarSpec, x) -> tuple:
+    """(D, C, S, dD/dx) as floats at scalar x and t = spec.t.
+
+    SingularPointError where the denominator vanishes to within EPS_DENOM.
+    """
+    xf = float(x)
+    d, c, s, den, scale, d_x = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, xf)
     if abs(den) <= EPS_DENOM * scale:
         raise SingularPointError(
-            f"x = {x} is within the singular tube of the denominator cubic"
+            f"x = {xf} is within the singular tube of the denominator cubic"
         )
     return float(d), float(c), float(s), float(d_x)
 
 
-def pde_coefficients(spec: EqualVarSpec, x) -> PdeCoefficients:
-    """Diffusion/convection/source coefficients at scalar x and t = spec.t."""
-    return PdeCoefficients(*_checked_coeffs(spec, float(x))[:3])
-
-
-def diffusion_x_derivative(spec: EqualVarSpec, x):
-    """Analytic d/dx of the diffusion coefficient via the quotient rule."""
-    x_arr = np.asarray(x, dtype=float)
-    out = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, x_arr)[5]
-    if x_arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def g_coefficients(spec: EqualVarSpec, x) -> GCoefficients:
-    """First/second-derivative coefficients of the evolution identity.
+def g_coefficients(spec: EqualVarSpec, x) -> tuple:
+    """(G_x, G_xx) of the evolution identity h_t = S h + G_x h_x + G_xx h_xx.
 
     Assembled directly from the moment-coefficient formulas (independent of
     the rational closed forms): with C_xx = A_xx + F_xx W2 + E_xx W4 and
@@ -316,16 +269,13 @@ def g_coefficients(spec: EqualVarSpec, x) -> GCoefficients:
     scale = max(abs(ax * dxx), abs(bx * cxx))
     if abs(den) <= EPS_DENOM * scale:
         raise SingularPointError(f"x = {xf} is singular for the derivative elimination")
-    return GCoefficients(
-        G_x=(at * dxx - bt * cxx) / den,
-        G_xx=(ax * bt - at * bx) / den,
-    )
+    return (at * dxx - bt * cxx) / den, (ax * bt - at * bx) / den
 
 
 def _residual_row(spec: EqualVarSpec, x) -> tuple:
     """(h, h_t, D, C, S, residual) at scalar x; SingularPointError in the tube."""
     xf = float(x)
-    d, c, s, d_x = _checked_coeffs(spec, xf)
+    d, c, s, d_x = pde_coefficients(spec, xf)
     h = density_equal_var(spec, xf)
     h_t, h_x, h_xx = derivatives(spec, xf)
     return h, h_t, d, c, s, h_t - (d * h_xx + (d_x + c) * h_x + s * h)

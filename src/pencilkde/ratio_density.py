@@ -28,15 +28,11 @@ _ERF_ONE = 6.0
 __all__ = [
     "GeneralGaussianSpec",
     "EqualVarSpec",
-    "AbcCoefficients",
     "abc_general",
-    "abc_equal_var",
     "density_general",
     "density_general_hyp",
     "density_equal_var",
     "density_equal_var_hyp",
-    "density_scaled",
-    "density_limit_t_inf",
     "derivatives",
     "integrate_density",
 ]
@@ -84,28 +80,9 @@ class EqualVarSpec:
         if self.t <= 0.0:
             raise ValueError(f"variance t must be positive, got {self.t}")
 
-    def to_general(self) -> GeneralGaussianSpec:
-        return GeneralGaussianSpec(
-            nu_v=self.nu_v,
-            nu_w=self.nu_w,
-            sigma2_v=self.t,
-            sigma2_w=self.t,
-            gamma=self.rho * self.t,
-        )
 
-
-@dataclass(frozen=True)
-class AbcCoefficients:
-    """Exponent coefficients: quadratic a(x) > 0, linear b(x), constant c, det d."""
-
-    a: object
-    b: object
-    c: float
-    d: float
-
-
-def abc_general(spec: GeneralGaussianSpec, x):
-    """Exponent coefficients of the general-covariance ratio density."""
+def abc_general(spec: GeneralGaussianSpec, x) -> tuple:
+    """(a, b, c, d): quadratic a(x) > 0, linear b(x), constant c and determinant d."""
     x = np.asarray(x, dtype=float)
     det = spec.det
     two_det = 2.0 * det
@@ -121,8 +98,8 @@ def abc_general(spec: GeneralGaussianSpec, x):
         + spec.sigma2_v * spec.nu_w**2
     ) / two_det
     if a.ndim == 0:
-        return AbcCoefficients(a=float(a), b=float(b), c=c, d=det)
-    return AbcCoefficients(a=a, b=b, c=c, d=det)
+        return float(a), float(b), c, det
+    return a, b, c, det
 
 
 def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
@@ -132,16 +109,6 @@ def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
     b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
     c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
     return a, b, c
-
-
-def abc_equal_var(spec: EqualVarSpec, x):
-    """Exponent coefficients of the equal-variance family."""
-    x = np.asarray(x, dtype=float)
-    a, b, c = _abc_equal_var(x, spec.t, spec.nu_v, spec.nu_w, spec.rho)
-    d = (1.0 - spec.rho * spec.rho) * spec.t * spec.t
-    if a.ndim == 0:
-        return AbcCoefficients(a=float(a), b=float(b), c=c, d=d)
-    return AbcCoefficients(a=a, b=b, c=c, d=d)
 
 
 def _density_stable(a, b, c, d):
@@ -161,28 +128,26 @@ def _density_stable(a, b, c, d):
 def density_general(spec: GeneralGaussianSpec, x):
     """Density of w/v for general covariance; scalars or arrays in x."""
     x_arr = np.asarray(x, dtype=float)
-    co = abc_general(spec, x_arr)
-    out = _density_stable(np.asarray(co.a), np.asarray(co.b), co.c, co.d)
+    a, b, c, d = abc_general(spec, x_arr)
+    out = _density_stable(np.asarray(a), np.asarray(b), c, d)
     if x_arr.ndim == 0:
         return float(out)
     return out
 
 
-def _density_hyp(co: AbcCoefficients) -> float:
+def _density_hyp(a: float, b: float, c: float, d: float) -> float:
     """e^-c / (2 pi sqrt(d) a) 1F1(1; 1/2; b^2/a) from scalar coefficients.
 
     The exponents are combined as exp(z - c) with z = b^2/a <= c, so the
     evaluation stays finite even when both factors are out of double range.
     """
-    z = co.b * co.b / co.a
-    return math.exp(z - co.c) / (TWO_PI * math.sqrt(co.d) * co.a) * hyp1f1_half_scaled(
-        1.0, 0.5, z
-    )
+    z = b * b / a
+    return math.exp(z - c) / (TWO_PI * math.sqrt(d) * a) * hyp1f1_half_scaled(1.0, 0.5, z)
 
 
 def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
     """Direct 1F1 form of the general density (cross-check path; scalar x)."""
-    return _density_hyp(abc_general(spec, float(x)))
+    return _density_hyp(*abc_general(spec, float(x)))
 
 
 def _erf(z):
@@ -355,31 +320,8 @@ def density_equal_var(spec: EqualVarSpec, x):
 
 def density_equal_var_hyp(spec: EqualVarSpec, x) -> float:
     """1F1 form of the equal-variance density (cross-check path; scalar x)."""
-    return _density_hyp(abc_equal_var(spec, float(x)))
-
-
-def density_scaled(spec: EqualVarSpec, x):
-    """Evaluate through the scaling identity h(x, t; nv, nw, r) = h(x, t/nv^2; 1, nw/nv, r)."""
-    if spec.nu_v == 0.0:
-        raise ValueError("scaling identity requires nu_v != 0")
-    reduced = EqualVarSpec(
-        nu_v=1.0,
-        nu_w=spec.nu_w / spec.nu_v,
-        rho=spec.rho,
-        t=spec.t / spec.nu_v**2,
-    )
-    return density_equal_var(reduced, x)
-
-
-def density_limit_t_inf(rho: float, x):
-    """Large-variance limit: sqrt(1-rho^2) / (pi (x^2 - 2 rho x + 1))."""
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
-    x_arr = np.asarray(x, dtype=float)
-    out = math.sqrt(1.0 - rho * rho) / (np.pi * (x_arr * x_arr - 2.0 * rho * x_arr + 1.0))
-    if x_arr.ndim == 0:
-        return float(out)
-    return out
+    a, b, c = _abc_equal_var(float(x), spec.t, spec.nu_v, spec.nu_w, spec.rho)
+    return _density_hyp(a, b, c, (1.0 - spec.rho * spec.rho) * spec.t * spec.t)
 
 
 def _moment_coefficients(x, t, nu_v, nu_w, rho) -> tuple:
@@ -416,7 +358,8 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
       h_xx = e^(z-c)/(2 pi) [(A_xx + F_xx W2 + E_xx W4) Lam2 + (F_xx W1 + E_xx W3) Lam1]
 
     where the order-3 and order-4 moments were eliminated by the recurrence
-    weights W1..W4.
+    weights W1..W4. Where the prefactor e^(z-c) underflows to 0.0 all three
+    are 0.0, though a coefficient may have overflowed there.
     """
     x = np.asarray(x, dtype=float)
     a, b, c = _abc_equal_var(x, t, nu_v, nu_w, rho)
@@ -431,7 +374,8 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     h_t = pref * (at * lam2 + bt * lam1 + ct * lam0)
     h_x = pref * (ax * lam2 + bx * lam1)
     h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
-    return h_t, h_x, h_xx
+    zero = pref == 0.0
+    return tuple(np.where(zero, 0.0, v) for v in (h_t, h_x, h_xx))
 
 
 def derivatives(spec: EqualVarSpec, x):

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +63,29 @@ WINDOW = st.one_of(
     ANY_FLOAT.map(lambda v: (v, v)),
     ANY_FLOAT.map(lambda v: (v, math.nextafter(v, math.inf))),
 )
+
+
+# a JSON value of any type, many of them malformed for a config key
+CONFIG_VALUE = st.sampled_from(
+    [None, True, "x", "auto", [], [1], [0.5, 0.9], [1.0, 0.5], [0.9, 0.9], [-1e300, 1e300],
+     [math.nan, 1.0], {}, -1, 0, 1, 2, 4, 5, 16, 2.5, 2**64, 1e-300, 1e300, math.inf,
+     -math.inf, math.nan]
+)
+
+
+def run_cli(argv) -> tuple:
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    """Exit 0, or 2/3 with one `error:` line."""
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert err.count("error: ") == 1
 
 
 def micro_config_dict(**overrides):
@@ -173,7 +198,7 @@ class TestDecompose:
             + counts["infinite_discarded"]
             == counts["blocks_total"]
         )
-        assert sample.p_r.sum() == counts["real_kept"]
+        assert sum(r.size for r in sample.ratio) == counts["real_kept"]
 
     def test_ratios_are_pair_quotients(self):
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=6)
@@ -383,8 +408,6 @@ class TestCli:
             ("0.01", "1e308"),
             # finite coefficients, but h_t and the residual are nan at every point (exit 0)
             ("1e300", "0.9"),
-            # h = h_t = 0, but h_xx and so the residual are nan (exit 0)
-            ("1e-3", "1e100"),
         ],
     )
     def test_pde_check_non_finite_table_is_a_numerical_failure(self, t, nu_w, capsys):
@@ -404,6 +427,26 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_pde_check_underflowed_density_is_a_zero_table(self, capsys):
+        # h underflows to 0.0; h_xx, and so the residual, were nan (exit 3)
+        code = cli.main(
+            [
+                "pde-check",
+                "--t=1e-3",
+                "--nu-w=1e100",
+                "--rho", "0.3",
+                "--xmin", "0.7",
+                "--xmax", "1.1",
+                "--points", "3",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 3
+        for x, h, h_t, d, c, s, res in rows:
+            assert h == h_t == res == 0.0 and all(map(math.isfinite, (d, c, s)))
 
     @pytest.mark.parametrize(
         "args",
@@ -430,15 +473,14 @@ class TestCli:
     @given(t=ANY_FLOAT, nu_w=ANY_FLOAT, rho=ANY_FLOAT, window=WINDOW, points=st.integers(1, 3))
     @settings(derandomize=True, max_examples=250, deadline=None)
     def test_exit_code_sweep(self, command, t, nu_w, rho, window, points):
-        argv = [command, f"--t={t!r}", f"--nu-w={nu_w!r}", f"--rho={rho!r}",
-                f"--xmin={window[0]!r}", f"--xmax={window[1]!r}", f"--points={points}"]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        assert code in (0, 2, 3)
+        code, out, err = run_cli(
+            [command, f"--t={t!r}", f"--nu-w={nu_w!r}", f"--rho={rho!r}",
+             f"--xmin={window[0]!r}", f"--xmax={window[1]!r}", f"--points={points}"]
+        )
+        assert_exit_contract(code, err)
         if code != 0:
             return
-        rows = [[float(v) for v in line.split(",")] for line in out.getvalue().splitlines()[1:]]
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
         assert len(rows) == points
         for x, *values in rows:
             # pde-check leaves the rows in the singular tubes all nan
@@ -499,6 +541,100 @@ class TestCli:
         cfg_path.write_text(json.dumps(micro_config_dict(extra=1)))
         code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model", {"zeta": [0.5, 0.9], "f": [1.0, 1.0], "n": 8}),  # no sigma
+            ("R", None),
+            ("model", [1, 2]),
+            ("window", 5),
+        ],
+        ids=["model-without-sigma", "R-null", "model-list", "window-number"],
+    )
+    def test_simulate_malformed_config_exits_two(self, key, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(micro_config_dict(**{key: value})))
+        code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}")
+
+    @given(
+        key=st.sampled_from(["model", "R", "N_ref", "window", "points", "tau", "seed",
+                             "method", "threads", "zeta", "f", "sigma", "n"]),
+        value=CONFIG_VALUE,
+        n_ref=st.integers(1, 4),
+        drop=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_simulate_exit_code_sweep(self, key, value, n_ref, drop):
+        # model1 at N_ref <= 4, one key (or model entry) set to any value or dropped;
+        # threads is never set to a number >= 2, so no worker pool starts
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "model1.json").read_text())
+        cfg.update(N_ref=n_ref, R=min(cfg["R"], n_ref), points=64)
+        target = cfg["model"] if key in ("zeta", "f", "sigma", "n") else cfg
+        if drop:
+            target.pop(key, None)
+        elif not (key == "threads" and isinstance(value, (int, float)) and value >= 2):
+            target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            code, _, err = run_cli(["simulate", f"--config={path}", f"--out={tmp}/out"])
+        assert_exit_contract(code, err)
+
+    @given(
+        records=st.one_of(
+            # arbitrary 1-4 records of length 1-12
+            st.integers(1, 12).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.one_of(st.sampled_from(EXTREMES), st.floats(-2.0, 2.0)),
+                             min_size=n, max_size=n),
+                    min_size=1, max_size=4)
+            ),
+            # 1-4 records of the micro model
+            st.lists(st.integers(0, 99), min_size=1, max_size=4).map(
+                lambda rs: [generate(MICRO_MODEL, seed=5, r=r).tolist() for r in rs]
+            ),
+        ),
+        window=st.one_of(st.just((0.3, 1.1)), WINDOW),
+        points=st.integers(1, 20),
+        tau=st.one_of(st.just(0.5), ANY_FLOAT),
+        method=st.sampled_from(["proposed", "gaussian"]),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_estimate_exit_code_sweep(self, records, window, points, tau, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data.csv"
+            write_dataset_csv(data, Dataset(data=records))
+            code, _, err = run_cli(
+                ["estimate", f"--data={data}", f"--window={window[0]!r},{window[1]!r}",
+                 f"--points={points}", f"--tau={tau!r}", f"--method={method}",
+                 f"--out={tmp}/out"]
+            )
+        assert_exit_contract(code, err)
+
+    @given(
+        header=st.sampled_from(["x,density", "x,gaussian,proposed", "x,a,b", "x", ""]),
+        rows=st.lists(
+            st.one_of(
+                st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+                st.lists(st.one_of(ANY_FLOAT, st.sampled_from(["", "x", "1e999"])), max_size=3),
+            ).map(lambda row: ",".join(map(str, row))),
+            max_size=4,
+        ),
+        tau=st.one_of(st.just(0.5), ANY_FLOAT),
+        column=st.sampled_from([None, "density", "proposed", "zz"]),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_modes_exit_code_sweep(self, header, rows, tau, column):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "density.csv"
+            path.write_text("\n".join([header, *rows]) + "\n")
+            argv = ["modes", f"--density={path}", f"--tau={tau!r}"]
+            code, _, err = run_cli(argv + ([f"--column={column}"] if column else []))
+        assert_exit_contract(code, err)
 
     @pytest.fixture()
     def dataset_csv(self, tmp_path):

@@ -576,7 +576,7 @@ class TestBandwidthTStar:
         from pencilkde.ratio_density import derivatives
 
         fit = self.fit()
-        d_center = pde_coefficients(EqualVarSpec(1.0, 0.9, fit.rho0, fit.t0), 0.9).D
+        d_center = pde_coefficients(EqualVarSpec(1.0, 0.9, fit.rho0, fit.t0), 0.9)[0]
         pad = kde.WINDOW_EXTEND * 0.5 * (self.WINDOW[1] - self.WINDOW[0])
         fspec = EqualVarSpec(1.0, fit.mu0, fit.rho0, fit.t0)
         norm, _ = quad(

@@ -7,12 +7,11 @@ import pytest
 
 from pencilkde.pde import (
     SingularPointError,
+    _poly_coeff_arrays,
+    _poly_terms,
     cubic_real_roots,
-    diffusion_x_derivative,
     g_coefficients,
     pde_coefficients,
-    polynomial_coefficients,
-    polynomials,
     residual,
     singular_mask,
 )
@@ -27,7 +26,7 @@ def polyval(coeffs, x):
 
 def full_cubic(spec):
     """Ascending coefficients of the denominator polynomial at t = spec.t."""
-    co = polynomial_coefficients(spec)
+    co = _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
     q1 = np.zeros(4)
     q1[: len(co["q1"])] = co["q1"]
     q2 = np.zeros(4)
@@ -37,19 +36,16 @@ def full_cubic(spec):
 
 class TestPolynomials:
     def test_p1_vanishes_at_symmetric_zero(self):
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.0, rho=0.0, t=1.0)
-        p1, *_ = polynomials(spec, 0.0)
+        p1, *_ = _poly_terms(1.0, 0.0, 0.0, 0.0)
         assert p1 == 0.0
 
     def test_frozen_point_oracle(self):
         # values from an independent symbolic evaluation of the factored forms
-        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.0, t=1.0)
-        got = polynomials(spec, 0.9)
+        got = _poly_terms(1.0, 0.9, 0.0, 0.9)
         want = (0.0, -1.408723, -5.3367669, 0.0, -3.258)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-        spec2 = EqualVarSpec(nu_v=1.0, nu_w=0.5, rho=0.6, t=1.0)
-        got2 = polynomials(spec2, -0.7)
+        got2 = _poly_terms(1.0, 0.5, 0.6, -0.7)
         want2 = (-1.419264, -20.757271, 9.6037241, -0.18432, -7.48928)
         assert got2 == pytest.approx(want2, rel=1e-12)
 
@@ -57,9 +53,9 @@ class TestPolynomials:
         # expanded coefficients evaluated by polyval vs the factored products
         for _ in range(25):
             spec = random_equal_var_spec(rng)
-            co = polynomial_coefficients(spec)
+            co = _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
             for x in rng.uniform(-3, 3, size=5):
-                p1, p2, p3, q1, q2 = polynomials(spec, float(x))
+                p1, p2, p3, q1, q2 = _poly_terms(spec.nu_v, spec.nu_w, spec.rho, float(x))
                 assert polyval(co["p1"], x) == pytest.approx(p1, rel=1e-10, abs=1e-12)
                 assert polyval(co["p2"], x) == pytest.approx(p2, rel=1e-10, abs=1e-12)
                 assert polyval(co["p3"], x) == pytest.approx(p3, rel=1e-10, abs=1e-12)
@@ -68,7 +64,7 @@ class TestPolynomials:
 
     def test_derivative_arrays(self, rng):
         spec = random_equal_var_spec(rng)
-        co = polynomial_coefficients(spec)
+        co = _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
         eps = 1e-6
         for x in (-1.3, 0.2, 1.9):
             for name in ("p3", "q1", "q2"):
@@ -122,7 +118,7 @@ class TestCubicRealRoots:
 
     def test_q1_vanishes_when_nw_equals_nv_rho(self):
         spec = EqualVarSpec(nu_v=1.0, nu_w=0.3, rho=0.3, t=0.7)
-        co = polynomial_coefficients(spec)
+        co = _poly_coeff_arrays(spec.nu_v, spec.nu_w, spec.rho)
         assert np.allclose(co["q1"], 0.0, atol=1e-14)
         roots = cubic_real_roots(spec, spec.t)
         coeffs = full_cubic(spec)
@@ -153,7 +149,7 @@ class TestSingularMask:
         assert len(roots) >= 1
         r = roots[0]
         xs = np.array([r, r + 5e-4, r - 5e-4, r + 5e-3, r - 5e-3])
-        mask = singular_mask(spec, spec.t, xs, half_width=1e-3)
+        mask = singular_mask(spec, spec.t, xs)
         assert mask.tolist() == [True, True, True, False, False]
 
 
@@ -167,14 +163,14 @@ class TestPdeCoefficients:
             ) - 1 / t
             xs = [x for x in rng.uniform(-2, 3, size=4)
                   if not singular_mask(spec, t, np.array([x]))[0]]
-            vals = [pde_coefficients(spec, x).S for x in xs]
+            vals = [pde_coefficients(spec, x)[2] for x in xs]
             for v in vals:
                 assert v == pytest.approx(want, rel=1e-12)
             assert len(set(vals)) <= 1  # bitwise x-independent
 
     def test_positive_diffusion_near_mean_ratio(self):
         spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.99, t=0.11)
-        assert pde_coefficients(spec, 0.9).D > 0
+        assert pde_coefficients(spec, 0.9)[0] > 0
 
     def test_error_at_cubic_root(self):
         spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.2, t=0.05)
@@ -188,8 +184,7 @@ class TestPdeCoefficients:
             x = float(rng.uniform(-2, 3))
             if singular_mask(spec, spec.t, np.array([x]))[0]:
                 continue
-            co = pde_coefficients(spec, x)
-            assert all(map(math.isfinite, (co.D, co.C, co.S)))
+            assert all(map(math.isfinite, pde_coefficients(spec, x)))
 
 
 def moderate_draws(seed, n):
@@ -204,7 +199,7 @@ def moderate_draws(seed, n):
         )
         sd = math.sqrt(spec.t * (1 + spec.nu_w**2))
         x = float(rng.uniform(spec.nu_w - 3 * sd, spec.nu_w + 3 * sd))
-        if singular_mask(spec, spec.t, np.array([x]), half_width=5e-3)[0]:
+        if np.min(np.abs(x - cubic_real_roots(spec, spec.t)), initial=np.inf) < 5e-3:
             continue
         out.append((spec, x))
     return out
@@ -215,11 +210,11 @@ class TestGCoefficients:
         worst = 0.0
         for spec, x in moderate_draws(2026, 200):
             try:
-                co = pde_coefficients(spec, x)
-                g = g_coefficients(spec, x)
+                d = pde_coefficients(spec, x)[0]
+                g_xx = g_coefficients(spec, x)[1]
             except SingularPointError:
                 continue
-            worst = max(worst, abs(g.G_xx - co.D) / max(abs(co.D), 1e-300))
+            worst = max(worst, abs(g_xx - d) / max(abs(d), 1e-300))
         assert worst <= 1e-9
 
     def test_convection_matches_gx_minus_dgxx(self):
@@ -227,14 +222,14 @@ class TestGCoefficients:
         worst = 0.0
         for spec, x in moderate_draws(2026, 200):
             try:
-                co = pde_coefficients(spec, x)
-                g = g_coefficients(spec, x)
+                c = pde_coefficients(spec, x)[1]
+                g_x = g_coefficients(spec, x)[0]
                 eps = 3e-5 * max(1.0, abs(x))
-                v = [g_coefficients(spec, x + k * eps).G_xx for k in (-2, -1, 1, 2)]
+                v = [g_coefficients(spec, x + k * eps)[1] for k in (-2, -1, 1, 2)]
             except SingularPointError:
                 continue
             dgxx = (v[0] - 8 * v[1] + 8 * v[2] - v[3]) / (12 * eps)
-            worst = max(worst, abs((g.G_x - dgxx) - co.C) / max(abs(co.C), 1.0))
+            worst = max(worst, abs((g_x - dgxx) - c) / max(abs(c), 1.0))
         assert worst <= 1e-6
 
     def test_evolution_identity(self):
@@ -242,13 +237,13 @@ class TestGCoefficients:
         worst = 0.0
         for spec, x in moderate_draws(2026, 200):
             try:
-                co = pde_coefficients(spec, x)
-                g = g_coefficients(spec, x)
+                src = pde_coefficients(spec, x)[2]
+                g_x, g_xx = g_coefficients(spec, x)
             except SingularPointError:
                 continue
             h = density_equal_var(spec, x)
             h_t, h_x, h_xx = derivatives(spec, x)
-            terms = (co.S * h, g.G_x * h_x, g.G_xx * h_xx)
+            terms = (src * h, g_x * h_x, g_xx * h_xx)
             scale = abs(h_t) + sum(abs(u) for u in terms)
             if scale == 0.0:
                 continue
@@ -268,11 +263,11 @@ class TestDiffusionDerivative:
         for spec, x in moderate_draws(2026, 200):
             eps = 3e-5 * max(1.0, abs(x))
             try:
-                v = [pde_coefficients(spec, x + k * eps).D for k in (-2, -1, 1, 2)]
+                v = [pde_coefficients(spec, x + k * eps)[0] for k in (-2, -1, 1, 2)]
+                dxa = pde_coefficients(spec, x)[3]
             except SingularPointError:
                 continue
             fd = (v[0] - 8 * v[1] + 8 * v[2] - v[3]) / (12 * eps)
-            dxa = diffusion_x_derivative(spec, x)
             worst = max(worst, abs(dxa - fd) / max(abs(dxa), 1.0))
         assert worst <= 1e-6
 
