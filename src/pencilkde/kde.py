@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _opt
 
 from . import pde as _pde
 from .ratio_density import _derivs_raw, _RatioKernel
@@ -140,8 +139,20 @@ def _bin_grid(window, bins: int):
         raise ValueError(f"window must be increasing, got {window}")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
+    # empirical_density divides by edges[1] - edges[0] and DensityGrid wants
+    # finite, strictly increasing centres: near the float range a width or a
+    # centre overflows, and a few ulps wide a width or a spacing rounds to 0.0
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"window {window} is wider than the float range")
     edges = np.linspace(lo, hi, bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    with np.errstate(over="ignore"):
+        centers = 0.5 * (edges[:-1] + edges[1:])
+    if not (
+        edges[1] > edges[0]
+        and np.all(centers[1:] > centers[:-1])
+        and np.all(np.isfinite(centers[[0, -1]]))
+    ):
+        raise ValueError(f"window {window} has no {bins} distinct finite bins")
     return edges, centers
 
 
@@ -275,11 +286,139 @@ class _FitObjective(_RatioKernel):
         return float(total * self.width)
 
 
+# Nelder-Mead stopping rule of the reference fit
+_NM_XATOL = 1e-7
+_NM_FATOL = 1e-13
+_NM_MAXITER = 4000
+_NM_MAXFEV = 6000
+
+
+class _MaxFevReached(Exception):
+    pass
+
+
+# _nelder_mead is ported from SciPy 1.17, whose licence it keeps:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+def _nelder_mead(func, x0):
+    """(x, fun, nfev, success) of a Nelder-Mead simplex search for a minimum of func.
+
+    Ported from scipy.optimize._optimize._minimize_neldermead (BSD-3-Clause,
+    notice above), keeping only what fit_reference uses: no bounds, the
+    standard coefficients (reflection 1, expansion 2, contraction 1/2,
+    shrink 1/2) and the _NM_* stopping rule. The operations and their order
+    are scipy's, so each evaluation point, the result and the count of
+    evaluations match scipy.optimize.minimize(func, x0, method="Nelder-Mead")
+    with those options bit for bit: the initial steps of 5% and 0.00025, the
+    argsort/take re-sorts that order tied values, the centroid sum, the stop
+    after _NM_MAXFEV evaluations even inside a shrink, and success meaning
+    that neither cap was reached.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= _NM_MAXFEV:
+            raise _MaxFevReached
+        nfev += 1
+        return func(x)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # scipy sorts twice here; argsort may reorder ties, so the second sort stays
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while nfev < _NM_MAXFEV and iterations < _NM_MAXITER:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= _NM_XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL
+        ):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+                else:
+                    sim[-1], fsim[-1] = xc, fxc
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], np.min(fsim), nfev, nfev < _NM_MAXFEV and iterations < _NM_MAXITER
+
+
 def fit_reference(h_e: DensityGrid) -> FitResult:
     """Least-squares fit of a single ratio density to the empirical histogram.
 
     Minimizes the discrete L2 distance over (t, mu, rho) in transformed
     coordinates (log t, mu, atanh rho) with Nelder-Mead from N_STARTS starts.
+    The simplex search is the package's own port of scipy's (_nelder_mead),
+    bit for bit the same, because importing scipy.optimize for it would cost
+    every process about 17 MiB of memory and 0.2 s.
 
     The variance is restricted to t <= span^2 where span is the histogram
     window width. Without the bound the problem is not identified: densities
@@ -315,32 +454,27 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     assert len(starts) == N_STARTS
 
     objective = _FitObjective(centers, target, width, t_cap)
-    best = None
+    best_x = best_fun = None
     nfev = []
     n_converged = 0
     for x0 in starts:
-        res = _opt.minimize(
-            objective,
-            np.array(x0),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        nfev.append(int(res.nfev))
-        n_converged += bool(res.success)
+        x, fun, n, success = _nelder_mead(objective, x0)
+        if best_fun is None or fun < best_fun:
+            best_x, best_fun = x, fun
+        nfev.append(n)
+        n_converged += success
 
-    t0, mu0, rho0 = _theta_to_params(best.x)
+    t0, mu0, rho0 = _theta_to_params(best_x)
     fit = FitResult(
         t0=t0,
         mu0=mu0,
         rho0=rho0,
-        objective=float(best.fun),
+        objective=float(best_fun),
         converged=n_converged > 0,
         nfev=tuple(nfev),
         n_converged=n_converged,
         at_t_cap=t0 >= t_cap * (1.0 - _CAP_RTOL),
-        at_rho_cap=abs(float(best.x[2])) >= _ARHO_CAP,
+        at_rho_cap=abs(float(best_x[2])) >= _ARHO_CAP,
     )
     if not fit.converged:
         raise FitNonConvergenceError("no Nelder-Mead start converged", fit)

@@ -699,6 +699,17 @@ class TestCli:
         )
         assert code == 2
 
+    def test_estimate_ulp_wide_window_prints_one_line(self, dataset_csv, tmp_path):
+        # the bin width rounded to 0.0 and numpy warned before the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["estimate", f"--data={dataset_csv}", "--window=0.5,0.5000000000000001",
+                 "--points=2", f"--out={tmp_path / 'x'}"]
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_estimate_missing_dataset(self, tmp_path, capsys):
         code = cli.main(
             [

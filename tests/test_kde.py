@@ -1,6 +1,8 @@
 """Condensed-density estimators: histogram, Gaussian baseline, PDE mixture."""
 
+import itertools
 import math
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from pencilkde.kde import (
     DensityGrid,
     EigenSample,
     FitResult,
+    _nelder_mead,
     bandwidth_t_star_details,
     count_outside,
     empirical_density,
@@ -120,6 +123,20 @@ def synthetic_histogram(rng, centres, weights, sd, window, bins, size=20_000):
     return empirical_density(single_replication(pts), window, bins)
 
 
+def model1_like_histogram():
+    """Three close peaks in model1's (0.75, 1.0) window, which pins t0 at its cap."""
+    rng = np.random.default_rng(1)
+    return synthetic_histogram(rng, [0.8, 0.9, 0.95], [1, 1, 1], 0.01, (0.75, 1.0), 256)
+
+
+def model2_like_histogram():
+    """Five peaks in model2's window; rho0 runs to its cap. 2048 bins in place of 8192."""
+    rng = np.random.default_rng(2)
+    return synthetic_histogram(
+        rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
+    )
+
+
 def same_bits(a, b):
     """Bit equality; np.array_equal would let -0.0 stand for +0.0, which densities.csv prints apart."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -219,6 +236,18 @@ class TestEmpiricalDensity:
             empirical_density(sample, (1.0, 1.0), 4)
         with pytest.raises(ValueError):
             empirical_density(sample, (0.0, 1.0), 1)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(0.5, math.nextafter(0.5, 1.0)), (0.0, 5e-324), (-1e308, 1e308), (1e308, 1.5e308)],
+    )
+    @pytest.mark.parametrize("bins", [2, 256])
+    def test_rejects_unresolvable_window_without_warnings(self, window, bins):
+        # a zero or non-finite bin width made numpy warn before the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="window"):
+                empirical_density(single_replication([0.5]), window, bins)
 
 
 class TestGaussianEstimate:
@@ -387,14 +416,93 @@ class TestFitReference:
 
     def test_at_rho_cap(self, oracle_fit):
         assert not oracle_fit[2].at_rho_cap
-        # TestFitReferenceObjective's model2-like histogram, whose rho0 runs to the cap
-        rng = np.random.default_rng(2)
-        h_e = synthetic_histogram(
-            rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
-        )
-        fit = fit_reference(h_e)
+        fit = fit_reference(model2_like_histogram())
         assert fit.at_rho_cap and not fit.at_t_cap
         assert abs(math.atanh(fit.rho0)) > 0.99 * kde._ARHO_CAP
+
+
+NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000}
+
+
+def scipy_nelder_mead(func, x0):
+    res = scipy.optimize.minimize(
+        func, np.array(x0, dtype=float), method="Nelder-Mead", options=NM_OPTIONS
+    )
+    return res.x, res.fun, res.nfev, res.success
+
+
+def recorded_search(minimize, func, x0):
+    """minimize(func, x0) and the points it evaluated func at, in call order."""
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return func(x)
+
+    return minimize(recorded, x0), points
+
+
+def assert_nelder_mead_matches_scipy(make_func, x0):
+    """_nelder_mead evaluates scipy's points and returns its x, fun, nfev and success.
+
+    make_func() gives each search a fresh objective, so stateful ones start
+    alike; returns _nelder_mead's result.
+    """
+    got, points = recorded_search(_nelder_mead, make_func(), x0)
+    want, want_points = recorded_search(scipy_nelder_mead, make_func(), x0)
+    assert same_bits(np.asarray(got[0]), want[0])
+    assert same_bits(np.asarray(got[1]), np.asarray(want[1]))
+    assert (got[2], got[3]) == (want[2], want[3])
+    assert len(points) == len(want_points) == got[2]
+    assert all(same_bits(a, b) for a, b in zip(points, want_points))
+    return got
+
+
+def capped_quadratic(x):
+    """A quadratic with 1e300 beyond x[0] = 1, like the fit's t cap."""
+    if x[0] > 1.0:
+        return 1e300
+    return float(((x - np.array([0.3, -0.2, 0.1])) ** 2).sum())
+
+
+def call_counter():
+    """f(x) = the number of calls so far: each point is worse than all before it."""
+    calls = itertools.count(1)
+    return lambda x: float(next(calls))
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy's Nelder-Mead on toy objectives, bit for bit."""
+
+    def test_zero_start_coordinate_and_a_cap(self):
+        # 0.99 * 1.05 crosses the cap: 1e300 vertices from the first simplex on
+        x, fun, _, success = assert_nelder_mead_matches_scipy(
+            lambda: capped_quadratic, (0.99, 0.5, 0.0)
+        )
+        assert success and x[0] <= 1.0 and fun < 1e-12
+
+    def test_ties_at_1e300_and_shrinks(self):
+        # every vertex sits beyond the cap, so the sorts order four equal
+        # values and every step shrinks the simplex
+        _, fun, _, success = assert_nelder_mead_matches_scipy(
+            lambda: capped_quadratic, (2.0, 0.5, 0.0)
+        )
+        assert success and fun == 1e300
+
+    def test_maxiter_stop(self):
+        # 12-d Rosenbrock from 0 spends about 1.3 evaluations per iteration
+        def rosenbrock(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+        _, _, nfev, success = assert_nelder_mead_matches_scipy(lambda: rosenbrock, np.zeros(12))
+        assert not success and nfev < NM_OPTIONS["maxfev"]
+
+    def test_maxfev_stop_inside_a_shrink(self):
+        # in 7-d each iteration costs a reflection, an inside contraction and
+        # 7 shrink evaluations; 6000 = 8 + 665 * 9 + 7 stops after the fifth
+        # shrink evaluation of the 666th iteration
+        _, _, nfev, success = assert_nelder_mead_matches_scipy(call_counter, np.ones(7))
+        assert not success and nfev == NM_OPTIONS["maxfev"]
 
 
 def objective_branch(centers, theta, target=None):
@@ -535,9 +643,7 @@ class TestFitReferenceObjective:
         assert got.nfev == want.nfev and len(got.nfev) == kde.N_STARTS
 
     def test_model1_like_histogram(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        h_e = synthetic_histogram(rng, [0.8, 0.9, 0.95], [1, 1, 1], 0.01, (0.75, 1.0), 256)
-        got, want = self.fits(h_e, monkeypatch)
+        got, want = self.fits(model1_like_histogram(), monkeypatch)
         assert got == want
         assert got.nfev == want.nfev
         # as on model1, the (0.75, 1.0) window pins t0 at its cap span^2
@@ -545,14 +651,31 @@ class TestFitReferenceObjective:
 
     def test_model2_like_histogram(self, monkeypatch):
         # like model2's fit, rho0 runs to the cap and every evaluation takes the
-        # saturated branch; 2048 bins in place of 8192 keep the test short
-        rng = np.random.default_rng(2)
-        h_e = synthetic_histogram(
-            rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
-        )
-        got, want = self.fits(h_e, monkeypatch)
+        # saturated branch
+        got, want = self.fits(model2_like_histogram(), monkeypatch)
         assert got == want
         assert got.nfev == want.nfev
+
+    @pytest.mark.parametrize("histogram", ["oracle", "model1", "model2"])
+    def test_every_start_matches_scipy(self, histogram, oracle_fit, monkeypatch):
+        h_e = {
+            "oracle": lambda: oracle_fit[1],
+            "model1": model1_like_histogram,
+            "model2": model2_like_histogram,
+        }[histogram]()
+        starts = []
+
+        def checked(func, x0):
+            starts.append(x0)
+            return assert_nelder_mead_matches_scipy(lambda: func, x0)
+
+        monkeypatch.setattr(kde, "_nelder_mead", checked)
+        fit = fit_reference(h_e)
+        assert len(starts) == kde.N_STARTS
+        # the starts' atanh 0 = 0 takes the 0.00025 step
+        assert any(x0[2] == 0.0 for x0 in starts)
+        if histogram == "oracle":
+            assert fit == oracle_fit[2]
 
     def test_diagnostics(self, oracle_fit):
         _, _, fit = oracle_fit
