@@ -4,22 +4,25 @@ A run generates N_ref noisy replications of a multiexponential signal,
 decomposes each into sign-normalized real Schur pairs, builds the reference
 histogram from all of them and both density estimates from the first R, and
 reports fitted parameters, bandwidths, modes, counts, and per-phase timing.
-All reductions happen on the main process in replication order, so reports
-are identical for any worker count.
+Records decompose on a thread pool, each record alone; every reduction runs
+afterwards in replication order, so reports are identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _pkg_version
+from . import pencil
 from .kde import (
     DensityGrid,
     EigenSample,
@@ -46,11 +49,21 @@ __all__ = [
     "PhaseError",
     "run",
     "emit",
+    "available_cpus",
     "decompose_record",
+    "decompose_workers",
     "decompose_replications",
     "sample_from_pairs",
     "estimate_pipeline",
 ]
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class PhaseError(RuntimeError):
@@ -100,7 +113,8 @@ class ExperimentConfig:
     tau: float = 2.0
     seed: int = 0
     method: str = "both"
-    threads: int = 1
+    # decomposition workers; decompose_workers caps them at available_cpus()
+    threads: int = field(default_factory=available_cpus)
 
     def __post_init__(self):
         if not isinstance(self.model, SignalModel):
@@ -164,6 +178,9 @@ class ExperimentReport:
     skipped_components: int
     counts: dict
     timings: dict = field(default_factory=dict)
+    # the decomposition's threads and binding of dggev, for metadata.json
+    workers: int = 1
+    dggev: str = ""
 
     @property
     def modes(self) -> list:
@@ -180,22 +197,34 @@ def decompose_record(data) -> tuple:
     return rp.s, rp.t, rp.ratio, rp.n_complex, rp.n_infinite
 
 
-def _decompose_chunk(args):
-    model, seed, r_lo, r_hi = args
-    return [decompose_record(generate(model, seed, r)) for r in range(r_lo, r_hi)]
+def decompose_workers(threads: int, n_rep: int) -> int:
+    """Threads decompose_replications runs: threads capped at the CPUs and records.
+
+    One with the f2py binding of dggev, which holds the GIL.
+    """
+    if pencil.DGGEV != "ctypes":
+        return 1
+    return max(1, min(threads, available_cpus(), n_rep))
 
 
 def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1):
-    """Per-replication (s, t, ratio, n_complex, n_infinite), replication order."""
-    if threads <= 1 or n_rep < 4:
-        return _decompose_chunk((model, seed, 0, n_rep))
-    step = max(1, -(-n_rep // (threads * 8)))
-    chunks = [(model, seed, lo, min(lo + step, n_rep)) for lo in range(0, n_rep, step)]
-    results = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_decompose_chunk, chunks):
-            results.extend(part)
-    return results
+    """Per-replication (s, t, ratio, n_complex, n_infinite), replication order.
+
+    The records run on decompose_workers(threads, n_rep) threads, on a thread
+    pool when there are several, with scipy's OpenBLAS pinned to one thread
+    meanwhile: each record's QZ runs alone on one thread, whichever it is.
+    """
+
+    def one(r):
+        # generate is a module global, looked up per call, as in decompose_record
+        return decompose_record(generate(model, seed, r))
+
+    workers = decompose_workers(threads, n_rep)
+    with pencil.one_blas_thread():
+        if workers == 1:
+            return [one(r) for r in range(n_rep)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, range(n_rep)))
 
 
 def sample_from_pairs(pairs: list) -> tuple:
@@ -303,7 +332,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         **outside,
     }
     return ExperimentReport(
-        config=config, reference=reference, counts=counts, timings=timings, **est
+        config=config, reference=reference, counts=counts, timings=timings,
+        workers=decompose_workers(config.threads, config.N_ref), dggev=pencil.DGGEV, **est
     )
 
 
@@ -369,7 +399,8 @@ def emit(report: ExperimentReport, out_dir) -> list:
     _write(out / "modes.json", _modes_json(report.modes))
 
     params = {
-        "config": cfg.to_dict(),
+        # threads changes no result and its default is the machine's: metadata.json has it
+        "config": {k: v for k, v in cfg.to_dict().items() if k != "threads"},
         "p": cfg.model.n // 2,
         **_fit_params(report.fit),
         "fit_objective": None if report.fit is None else report.fit.objective,
@@ -386,6 +417,8 @@ def emit(report: ExperimentReport, out_dir) -> list:
     metadata = {
         "seed": cfg.seed,
         "threads": cfg.threads,
+        "workers": report.workers,
+        "dggev": report.dggev,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -400,6 +433,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
             "converged_starts": report.fit.n_converged,
             "at_t_cap": report.fit.at_t_cap,
             "at_rho_cap": report.fit.at_rho_cap,
+            "rho_near_boundary": report.fit.rho_near_boundary,
         }
     _write(out / "metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
     return written

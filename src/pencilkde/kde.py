@@ -132,6 +132,11 @@ class FitResult:
     at_t_cap: bool = False
     at_rho_cap: bool = False
 
+    @property
+    def rho_near_boundary(self) -> bool:
+        """1 - |rho0| < 1e-6: the fit ran to rho -> +-1, also short of the transform cap."""
+        return 1.0 - abs(self.rho0) < _RHO_BOUNDARY
+
 
 def _bin_grid(window, bins: int):
     lo, hi = float(window[0]), float(window[1])
@@ -243,6 +248,8 @@ def pooled_correlation(sample: EigenSample) -> float:
 # transform bounds: t in [1e-18, 1e18], |rho| <= 1 - 1e-10
 _LOG_T_CAP = 41.0
 _ARHO_CAP = 11.8
+# 1 - |rho0| below this flags a fit at the rho -> +-1 boundary (metadata.json)
+_RHO_BOUNDARY = 1e-6
 # t0 within this relative distance of t_cap counts as pinned at the cap
 _CAP_RTOL = 1e-6
 

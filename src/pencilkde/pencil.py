@@ -9,11 +9,14 @@ feed the downstream density estimators.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import linalg as _sla
-from scipy.linalg import lapack as _lapack
 
 __all__ = [
     "HankelPencil",
@@ -26,6 +29,8 @@ __all__ = [
     "real_pairs",
     "real_pairs_fast",
     "vandermonde_solve",
+    "DGGEV",
+    "one_blas_thread",
 ]
 
 
@@ -97,9 +102,8 @@ def build_pencil(data: np.ndarray) -> HankelPencil:
     if not np.all(np.isfinite(d)):
         raise ValueError("data must be finite")
     p = n // 2
-    u0 = _sla.hankel(d[:p], d[p - 1 : n - 1])
-    u1 = _sla.hankel(d[1 : p + 1], d[p:n])
-    return HankelPencil(u0=u0, u1=u1)
+    ij = np.add.outer(np.arange(p), np.arange(p))
+    return HankelPencil(u0=d[ij], u1=d[ij + 1])
 
 
 def _normalize_signs(s_diag, t_diag, is_real):
@@ -131,9 +135,11 @@ def qz(pencil: HankelPencil) -> SchurPairs:
     every p; the optimal workspace switches to blocked reductions from
     p = 128 on, which changes their last bits.
     """
+    from scipy.linalg import qz as _qz  # only checks call qz: a run never loads scipy.linalg
+
     p = pencil.p
     try:
-        s_mat, t_mat, q, z = _sla.qz(pencil.u1, pencil.u0, output="real", lwork=8 * p + 16)
+        s_mat, t_mat, q, z = _qz(pencil.u1, pencil.u0, output="real", lwork=8 * p + 16)
     except Exception as exc:  # scipy raises LinAlgError-ish on no convergence
         raise DecompositionError(f"generalized Schur iteration failed: {exc}") from exc
 
@@ -179,6 +185,115 @@ def real_pairs(pairs: SchurPairs) -> RealPairs:
     return _keep_real(pairs.s, pairs.t, pairs.is_real)
 
 
+# LAPACK dggev, bound once per process. scipy's wheels vendor an OpenBLAS whose
+# LAPACK symbols carry a scipy_ prefix; called through ctypes it releases the
+# GIL, so records decompose in parallel on threads, and no process has to
+# import scipy.linalg (about 6 MiB) for it. A scipy built on another LAPACK
+# falls back to f2py's wrapper, which holds the GIL.
+
+
+def _load_openblas(libs: Path):
+    """scipy's vendored OpenBLAS from the directory libs; None if none exports dggev."""
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        names = ("scipy_dggev_", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
+        if all(hasattr(lib, name) for name in names):
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return lib
+    return None
+
+
+def _find_openblas():
+    """_load_openblas of scipy's wheel directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    return _load_openblas(Path(spec.origin).parent.parent / "scipy.libs")
+
+
+def _ctypes_dggev(fn):
+    """dggev(a, b) -> (alphar, alphai, beta, info) through LAPACK's symbol fn.
+
+    a and b are C-ordered, symmetric p x p float64 arrays, so their C order is
+    their Fortran order; dggev overwrites them. JOBVL = JOBVR = 'N' and lwork
+    = 8p, the minimal workspace f2py's wrapper passes by default: the bits
+    depend on it. Each thread keeps its own workspace.
+    """
+    ptr = ctypes.c_void_p
+    # 17 Fortran arguments by reference, then the two hidden string lengths
+    fn.argtypes = [ctypes.c_char_p] * 2 + [ptr] * 15 + [ctypes.c_size_t] * 2
+    fn.restype = None
+    local = threading.local()
+
+    def dggev(a, b):
+        p = a.shape[0]
+        for m in (a, b):
+            if not (m.dtype == np.float64 and m.shape == (p, p)
+                    and m.flags.c_contiguous and m.flags.writeable):
+                raise ValueError("dggev needs writeable C-contiguous float64 p x p matrices")
+        if getattr(local, "p", None) != p:
+            # this thread's n, lwork, ldvl = ldvr and info, then work (8p) and the
+            # never-referenced vl = vr; local keeps them, so their addresses hold
+            ints = np.array([p, 8 * p, 1, 0], dtype=np.intc)
+            work = np.empty(9 * p)
+            n, lwork, ldv, info = (ints.ctypes.data + k * ints.itemsize for k in range(4))
+            w = work.ctypes.data
+            local.p, local.ints, local.work = p, ints, work
+            local.args = (n, ldv, w + 8 * p * work.itemsize, w, lwork, info)
+        n, ldv, v, w, lwork, info = local.args
+        out = np.empty((3, p))  # alphar, alphai, beta
+        o, row = out.ctypes.data, p * out.itemsize
+        fn(b"N", b"N", n, a.ctypes.data, n, b.ctypes.data, n, o, o + row, o + 2 * row,
+           v, ldv, v, ldv, w, lwork, info, 1, 1)
+        return out[0], out[1], out[2], int(local.ints[3])
+
+    return dggev
+
+
+def _f2py_dggev(a, b):
+    """dggev(a, b) -> (alphar, alphai, beta, info) through scipy.linalg.lapack."""
+    from scipy.linalg import lapack  # loaded only where the ctypes binding is missing
+
+    ar, ai, beta, _, _, _, info = lapack.dggev(a, b, compute_vl=0, compute_vr=0)
+    return ar, ai, beta, info
+
+
+def _bind_dggev(lib) -> tuple:
+    """(dggev, binding name): lib's dggev through ctypes, or f2py's without lib."""
+    if lib is None:
+        return _f2py_dggev, "f2py"
+    return _ctypes_dggev(lib.scipy_dggev_), "ctypes"
+
+
+_openblas = _find_openblas()
+# DGGEV names the binding real_pairs_fast calls: "ctypes" (GIL-free) or "f2py"
+_dggev, DGGEV = _bind_dggev(_openblas)
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin scipy's OpenBLAS to one thread inside the context, then restore its count.
+
+    Threads that each run a QZ must not also split their BLAS calls. Without
+    the vendored library this does nothing: the f2py binding runs serially.
+    """
+    lib = _openblas
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(old)
+
+
 def real_pairs_fast(data: np.ndarray) -> RealPairs:
     """build_pencil + qz + real_pairs from an eigenvalue-only QZ.
 
@@ -193,9 +308,8 @@ def real_pairs_fast(data: np.ndarray) -> RealPairs:
     passes the same minimal workspace, so its pairs equal these at every p.
     """
     pencil = build_pencil(data)
-    ar, ai, beta, _, _, _, info = _lapack.dggev(
-        pencil.u1, pencil.u0, compute_vl=0, compute_vr=0
-    )
+    # build_pencil's arrays are fresh, so dggev may overwrite them
+    ar, ai, beta, info = _dggev(pencil.u1, pencil.u0)
     if info != 0:
         raise DecompositionError(f"generalized Schur iteration failed: dggev info={info}")
     is_real = ai == 0.0

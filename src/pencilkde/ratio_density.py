@@ -172,7 +172,8 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
 
     The means are squared as float64, which gives inf where Python's float
     power would raise OverflowError (|nu| > 1.34e154) and the same bits
-    elsewhere.
+    elsewhere. Where q overflows (|x| beyond about 1.34e154) the density is
+    the same form with numerator and denominator divided by x^2.
     """
     q = x * x - 2.0 * rho * x + 1.0
     lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
@@ -180,12 +181,22 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
     gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(TWO_PI * t * q)
     term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
     nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
-    term2 = (
-        np.sqrt(one_m_r2)
-        / (np.pi * q)
-        * np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
-    )
-    return term1 + term2
+    e2 = np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
+    term2 = np.sqrt(one_m_r2) / (np.pi * q) * e2
+    h = term1 + term2
+    far = np.isinf(q) & np.isfinite(x)
+    if np.any(far):
+        with np.errstate(all="ignore"):  # x = 0 and the other non-far points go unused
+            u = 1.0 / x
+            qs = 1.0 - 2.0 * rho * u + u * u  # q / x^2
+            lin_s = nu_v * (u - rho) + nu_w * (1.0 - rho * u)  # lin / x
+            gauss_s = np.exp(-((nu_w * u - nu_v) ** 2) / (2.0 * t * qs)) / np.sqrt(TWO_PI * t * qs)
+            erf_s = _erf(np.sign(x) * lin_s / np.sqrt(2.0 * t * one_m_r2 * qs))
+            # term1 = gauss_s |u| (lin_s u / qs) erf_s, term2 = sqrt(1 - rho^2) u^2 / (pi qs) e2
+            far_h = gauss_s * (lin_s / qs) * erf_s * (np.abs(u) * u)
+            far_h = far_h + np.sqrt(one_m_r2) / (np.pi * qs) * e2 * (u * u)
+        h = np.where(far, far_h, h)
+    return h
 
 
 class _RatioKernel:

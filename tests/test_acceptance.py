@@ -47,7 +47,8 @@ def _report(capsys, num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def model1_config(seed, threads=1):
+def model1_config(seed, threads=None):
+    """The model1 study config; threads None keeps the default, every CPU."""
     return ExperimentConfig.from_dict(
         {
             "model": {"zeta": [0.8, 0.9, 0.95], "f": [1, 1, 1], "sigma": 1.5e-3},
@@ -57,7 +58,7 @@ def model1_config(seed, threads=1):
             "points": 256,
             "tau": 2.0,
             "seed": seed,
-            "threads": threads,
+            **({} if threads is None else {"threads": threads}),
         }
     )
 
@@ -357,16 +358,19 @@ def test_criterion_09_model1_monte_carlo(model1_runs, capsys):
 
 def test_criterion_10_model2_monte_carlo(model2_runs, capsys):
     reports, elapsed = model2_runs
-    hits = []
+    hits, n_modes = [], []
     for r in reports.values():
         xs = _mode_positions(r.modes_proposed)
         found = sum(
             1 for truth in MODEL2_TRUTH if xs.size and np.min(np.abs(xs - truth)) <= 0.005
         )
         hits.append(found)
+        n_modes.append(xs.size)
     good_seeds = sum(1 for found in hits if found >= 4)
     ok = good_seeds >= 7 and elapsed < 1200.0
-    _report(capsys, 10, ok, f"per-seed component hits {hits}, {elapsed:.1f}s")
+    per_seed = ", ".join(f"{h}/{m}" for h, m in zip(hits, n_modes))
+    _report(capsys, 10, ok,
+            f"per-seed component hits/proposed modes [{per_seed}], {elapsed:.1f}s")
 
 
 def test_criterion_11_pooled_correlation_limit(model2_runs, capsys):
@@ -375,15 +379,18 @@ def test_criterion_11_pooled_correlation_limit(model2_runs, capsys):
     _report(capsys, 11, all(rh >= 0.9 for rh in rho_hats), f"rho_hat {rho_hats}")
 
 
-def test_criterion_12_thread_determinism(model1_runs, tmp_path, capsys):
-    reports, _ = model1_runs
-    emit(reports[0], tmp_path / "t1")
-    emit(run(model1_config(0, threads=2)), tmp_path / "t2")
-    a = (tmp_path / "t1" / "densities.csv").read_bytes()
-    b = (tmp_path / "t2" / "densities.csv").read_bytes()
+def test_criterion_12_thread_determinism(tmp_path, capsys):
+    for threads in (1, 2):
+        emit(run(model1_config(0, threads=threads)), tmp_path / f"t{threads}")
+    same = [
+        name
+        for name in ("densities.csv", "modes.json")
+        if (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+    ]
+    ok = len(same) == 2
     _report(
         capsys,
         12,
-        a == b,
-        f"densities.csv {'identical' if a == b else 'differs'} across threads 1 and 2",
+        ok,
+        f"densities.csv and modes.json {'identical' if ok else 'differ'} across threads 1 and 2",
     )

@@ -4,23 +4,24 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilkde import cli, kde, pencil
+from pencilkde import cli, harness, kde, pencil
 from pencilkde.harness import (
     ExperimentConfig,
     PhaseError,
     _fmt,
     _mode_payload,
+    available_cpus,
     decompose_replications,
     emit,
     run,
@@ -29,6 +30,7 @@ from pencilkde.harness import (
 from pencilkde.kde import empirical_density
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
 from pencilkde.pde import SingularPointError
+from pencilkde.ratio_density import EqualVarSpec, density_equal_var
 from pencilkde.pencil import DecompositionError
 
 MICRO_MODEL = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
@@ -115,7 +117,7 @@ class TestExperimentConfig:
             2.0,
             0,
             "both",
-            1,
+            len(os.sched_getaffinity(0)),
         )
 
     @pytest.mark.parametrize(
@@ -187,6 +189,56 @@ class TestDecompose:
             for va, vb in zip(pa, pb):
                 assert np.array_equal(va, vb)
 
+    @pytest.mark.parametrize(
+        "threads, n_rep, workers",
+        [(10**6, 40, available_cpus()), (2**64, 1, 1), (1, 40, 1),
+         (2, 40, min(2, available_cpus()))],
+    )
+    def test_workers_capped_at_cpus_and_records(self, threads, n_rep, workers, monkeypatch):
+        if pencil.DGGEV != "ctypes":
+            pytest.skip("the f2py binding always runs one worker")
+        # a stub executor records max_workers and maps serially: no thread starts
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+        serial = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=1)
+        pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=threads)
+        assert seen == ([] if workers == 1 else [workers])
+        assert harness.decompose_workers(threads, n_rep) == workers
+        for pa, pb in zip(pairs, serial, strict=True):
+            for va, vb in zip(pa, pb):
+                assert np.array_equal(va, vb)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_pinned_while_decomposing_then_restored(self, threads, monkeypatch):
+        lib = pencil._openblas
+        if lib is None:
+            pytest.skip("scipy's vendored OpenBLAS is not present")
+        seen = []
+
+        def record(data):
+            seen.append(lib.scipy_openblas_get_num_threads())
+            return pencil.real_pairs_fast(data)
+
+        monkeypatch.setattr(harness, "real_pairs_fast", record)
+        before = lib.scipy_openblas_get_num_threads()
+        decompose_replications(MICRO_MODEL, seed=3, n_rep=12, threads=threads)
+        assert seen == [1] * 12
+        assert lib.scipy_openblas_get_num_threads() == before
+
     def test_counts_sum_identity(self):
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=12)
         sample, counts = sample_from_pairs(pairs)
@@ -255,6 +307,25 @@ class TestRun:
                 == c["blocks_total"]
             )
 
+    def test_f2py_fallback_same_bits_one_worker(self, micro_report, monkeypatch, tmp_path):
+        # as if scipy's OpenBLAS were absent: no library, f2py's dggev, no pool
+        assert pencil._load_openblas(tmp_path) is None
+        dggev, name = pencil._bind_dggev(None)
+        monkeypatch.setattr(pencil, "_openblas", None)
+        monkeypatch.setattr(pencil, "_dggev", dggev)
+        monkeypatch.setattr(pencil, "DGGEV", name)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)  # any pool would fail
+        report = run(micro_config(threads=4))
+        assert (report.workers, report.dggev) == (1, "f2py")
+        emit(report, tmp_path / "f2py")
+        emit(micro_report, tmp_path / "ctypes")
+        for name in ("densities.csv", "modes.json", "params.json"):
+            assert (tmp_path / "f2py" / name).read_bytes() == (
+                tmp_path / "ctypes" / name
+            ).read_bytes()
+        meta = json.loads((tmp_path / "f2py" / "metadata.json").read_text())
+        assert (meta["threads"], meta["workers"], meta["dggev"]) == (4, 1, "f2py")
+
     def test_phase_timings_recorded(self, micro_report):
         assert {"decompose", "histogram", "estimate"} <= set(micro_report.timings)
         assert all(v >= 0.0 for v in micro_report.timings.values())
@@ -309,6 +380,15 @@ class TestEmit:
         assert params["t_star"] == micro_report.t_star
         assert params["p"] == MICRO_MODEL.n // 2
         assert params["config"]["R"] == 20
+        assert "threads" not in params["config"]
+
+    def test_params_bytes_do_not_depend_on_threads(self, micro_report, tmp_path):
+        emit(micro_report, tmp_path / "a")
+        emit(run(micro_config(threads=1)), tmp_path / "b")
+        for name in ("densities.csv", "modes.json", "params.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        meta = json.loads((tmp_path / "b" / "metadata.json").read_text())
+        assert (meta["threads"], meta["workers"], meta["dggev"]) == (1, 1, pencil.DGGEV)
 
 
     def test_fit_diagnostics_in_metadata_only(self, micro_report, tmp_path):
@@ -320,6 +400,7 @@ class TestEmit:
             "converged_starts": fit.n_converged,
             "at_t_cap": fit.at_t_cap,
             "at_rho_cap": fit.at_rho_cap,
+            "rho_near_boundary": 1.0 - abs(fit.rho0) < 1e-6,
         }
         assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
         assert 1 <= fit.n_converged <= kde.N_STARTS
@@ -331,7 +412,7 @@ class TestEmit:
         for name in ("densities.csv", "modes.json", "params.json"):
             text = (tmp_path / name).read_text()
             assert "nfev" not in text and "converged_starts" not in text
-            assert "at_rho_cap" not in text
+            assert "at_rho_cap" not in text and "rho_near_boundary" not in text
 
     def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
         emit(run(micro_config(method="gaussian")), tmp_path)
@@ -454,8 +535,6 @@ class TestCli:
             # 2 nu_v nu_w rho overflows in the Cauchy term, which is nan
             ["--t", "1", "--nu-w", "1.7976931348623157e308", "--rho", "0.999999",
              "--xmin", "0.7", "--xmax", "1.1"],
-            # q = x^2 overflows at both ends
-            ["--t", "1", "--nu-w", "0.9", "--xmin=-1e300", "--xmax=1e300"],
         ],
     )
     def test_density_non_finite_table_is_a_numerical_failure(self, args, capsys):
@@ -468,6 +547,19 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert caught == []
+
+    def test_density_far_tail_is_a_zero_table(self, capsys):
+        # q = x^2 - 2 rho x + 1 overflowed at both ends, so h was nan there (exit 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["density", "--t", "1", "--nu-w", "0.9", "--xmin=-1e300",
+                             "--xmax=1e300", "--points", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.err, caught) == (0, "", [])
+        rows = [[float(v) for v in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [h for _, h in rows] == [
+            0.0, density_equal_var(EqualVarSpec(1.0, 0.9, 0.0, 1.0), 0.0), 0.0
+        ]
 
     @pytest.mark.parametrize("command", ["density", "pde-check"])
     @given(t=ANY_FLOAT, nu_w=ANY_FLOAT, rho=ANY_FLOAT, window=WINDOW, points=st.integers(1, 3))
@@ -570,13 +662,13 @@ class TestCli:
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_simulate_exit_code_sweep(self, key, value, n_ref, drop):
         # model1 at N_ref <= 4, one key (or model entry) set to any value or dropped;
-        # threads is never set to a number >= 2, so no worker pool starts
+        # threads up to 2**64 start at most N_ref worker threads
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "model1.json").read_text())
         cfg.update(N_ref=n_ref, R=min(cfg["R"], n_ref), points=64)
         target = cfg["model"] if key in ("zeta", "f", "sigma", "n") else cfg
         if drop:
             target.pop(key, None)
-        elif not (key == "threads" and isinstance(value, (int, float)) and value >= 2):
+        else:
             target[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
@@ -788,11 +880,11 @@ class TestDecompositionFailure:
 
     @pytest.fixture(autouse=True)
     def failing_qz(self, monkeypatch):
-        def dggev(a, b, **kwargs):
+        def dggev(a, b):
             z = np.zeros(a.shape[0])
-            return z, z, z, None, None, None, 1
+            return z, z, z, 1
 
-        monkeypatch.setattr(pencil, "_lapack", SimpleNamespace(dggev=dggev))
+        monkeypatch.setattr(pencil, "_dggev", dggev)
 
     def test_real_pairs_fast_raises(self):
         with pytest.raises(DecompositionError, match="info=1"):
@@ -806,7 +898,8 @@ class TestDecompositionFailure:
 
     def test_simulate_exits_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(micro_config_dict(threads=1)))
+        # the default thread count: the failure comes out of the pool
+        cfg_path.write_text(json.dumps(micro_config_dict()))
         code = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "decompose" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+from pencilkde import pencil
 from pencilkde.harness import ExperimentConfig
 from pencilkde.multiexp import generate, noiseless
 from pencilkde.pencil import (
@@ -194,6 +199,110 @@ class TestFastPathBits:
             assert np.array_equal(full.t, fast.t)
             assert np.array_equal(full.ratio, fast.ratio)
             assert (full.n_complex, full.n_infinite) == (fast.n_complex, fast.n_infinite)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestDggevBindings:
+    """LAPACK dggev through ctypes (GIL-free) and through f2py's wrapper."""
+
+    @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
+    def test_ctypes_equals_f2py(self, name, n_rep, p, monkeypatch):
+        if pencil.DGGEV != "ctypes":
+            pytest.skip("scipy's vendored OpenBLAS is not present")
+        config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
+        assert config.model.n == 2 * p
+        records = [generate(config.model, config.seed, r) for r in range(n_rep)]
+        raw = []
+        for d in records:
+            pen = build_pencil(d)
+            raw.append(pencil._dggev(pen.u1.copy(), pen.u0.copy()))
+        fast = [real_pairs_fast(d) for d in records]
+        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev)
+        for d, got, rp in zip(records, raw, fast):
+            pen = build_pencil(d)
+            want = pencil._f2py_dggev(pen.u1, pen.u0)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(_bits(a), _bits(b))
+            assert got[3] == want[3] == 0
+            ref = real_pairs_fast(d)
+            for field in ("s", "t", "ratio"):
+                assert np.array_equal(_bits(getattr(rp, field)), _bits(getattr(ref, field)))
+            assert (rp.n_complex, rp.n_infinite) == (ref.n_complex, ref.n_infinite)
+
+    def test_threads_match_serial(self):
+        # more threads than cores, both pencil sizes interleaved, a short switch interval
+        models = [ExperimentConfig.from_json_file(CONFIGS / f"{n}.json").model
+                  for n in ("model1", "model2")]
+        records = [generate(models[r % 2], 0, r) for r in range(24)]
+        serial = [real_pairs_fast(d) for d in records]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pencil.one_blas_thread(), ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(real_pairs_fast, records, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded, strict=True):
+            for field in ("s", "t", "ratio"):
+                assert np.array_equal(_bits(getattr(a, field)), _bits(getattr(b, field)))
+            assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
+
+    def test_ctypes_rejects_arrays_it_cannot_pass(self):
+        if pencil.DGGEV != "ctypes":
+            pytest.skip("scipy's vendored OpenBLAS is not present")
+        u = np.eye(4)
+        read_only = u.copy()
+        read_only.flags.writeable = False
+        for bad in (u.astype(np.float32), u[:, ::-1], u[:3], u[::2, ::2], read_only):
+            with pytest.raises(ValueError):
+                pencil._dggev(bad, u.copy())
+            with pytest.raises(ValueError):
+                pencil._dggev(u.copy(), bad)
+
+    def test_counts_complex_and_infinite_pairs(self):
+        # +-i, and a constant det(U1 - x U0): the same counts through either binding
+        for data in ([1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+            pen = build_pencil(np.array(data))
+            got = pencil._dggev(pen.u1.copy(), pen.u0.copy())
+            want = pencil._f2py_dggev(pen.u1, pen.u0)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(_bits(a), _bits(b))
+        assert real_pairs_fast(np.array([1.0, 0.0, -1.0, 0.0])).n_complex == 2
+        assert real_pairs_fast(np.array([0.0, 0.0, 1.0, 0.0])).n_infinite >= 1
+
+    def test_missing_library_binds_f2py(self, tmp_path):
+        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a library")
+        assert pencil._load_openblas(tmp_path) is None
+        assert pencil._load_openblas(tmp_path / "absent") is None
+        dggev, name = pencil._bind_dggev(None)
+        assert (dggev, name) == (pencil._f2py_dggev, "f2py")
+
+    def test_import_and_run_leave_out_scipy_linalg_and_multiprocessing(self):
+        code = (
+            "import sys, tempfile\n"
+            "import pencilkde.harness, pencilkde.cli\n"
+            "from pencilkde.harness import ExperimentConfig, emit, run\n"
+            "from pencilkde.multiexp import SignalModel\n"
+            "names = ('scipy.linalg', 'multiprocessing')\n"
+            "loaded = lambda: [m for m in names if m in sys.modules]\n"
+            "print(loaded())\n"
+            "model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)\n"
+            "cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64,\n"
+            "                       tau=0.5, seed=7, threads=2)\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    emit(run(cfg), out)\n"
+            "print(loaded())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        expected = "[]\n[]\n" if pencil.DGGEV == "ctypes" else "[]\n['scipy.linalg']\n"
+        assert out == expected
 
 
 class TestVandermondeSolve:

@@ -1,6 +1,7 @@
 """Exact ratio-of-Gaussians density: forms, limits, derivatives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ class TestDensityEqualVar:
                 b = density_equal_var_hyp(spec, x)
                 assert math.isfinite(b)
                 assert b == pytest.approx(a, rel=1e-10)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.7])
+    def test_far_tail_where_q_overflows(self, rho):
+        # q = x^2 - 2 rho x + 1 overflows beyond |x| ~ 1.34e154, where h was nan;
+        # h ~ K / x^2 there, with K = x^2 h(x) at x = 1e100 to double precision
+        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=rho, t=1.0)
+        k = density_equal_var(spec, 1e100) * 1e200
+        xs = np.array([1.4e154, -1.4e154, 1e155, -1e156, 1e300, -1e300, sys.float_info.max])
+        h = density_equal_var(spec, xs)
+        assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+        assert h[:4] == pytest.approx(k / xs[:4] / xs[:4], rel=1e-9, abs=1e-320)
+        assert h[4:].tolist() == [0.0, 0.0, 0.0]
+        # an ordinary x in the same call keeps its bits
+        mixed = density_equal_var(spec, np.array([0.9, 1e300]))
+        assert mixed[0] == density_equal_var(spec, 0.9) and mixed[1] == 0.0
 
 
 class TestSaturatedErf:
