@@ -27,7 +27,8 @@ from .harness import (
     _fit_params,
     _mode_payload,
     _modes_json,
-    decompose_record,
+    available_cpus,
+    decompose_records,
     emit,
     estimate_pipeline,
     run,
@@ -145,7 +146,8 @@ def _cmd_estimate(args) -> int:
     if not path.exists():
         raise ValueError(f"dataset not found: {path}")
     dataset = read_dataset_json(path) if path.suffix == ".json" else read_dataset_csv(path)
-    sample, counts = sample_from_pairs([decompose_record(row) for row in dataset.data])
+    pairs = decompose_records(dataset.data.__getitem__, len(dataset.data), available_cpus())
+    sample, counts = sample_from_pairs(pairs)
     window = _parse_window(args.window)
     result = estimate_pipeline(sample, window, args.points, args.tau, args.method)
 

@@ -50,8 +50,8 @@ __all__ = [
     "run",
     "emit",
     "available_cpus",
-    "decompose_record",
     "decompose_workers",
+    "decompose_records",
     "decompose_replications",
     "sample_from_pairs",
     "estimate_pipeline",
@@ -190,59 +190,52 @@ class ExperimentReport:
         return self.modes_gaussian or []
 
 
-def decompose_record(data) -> tuple:
-    """(s, t, ratio, n_complex, n_infinite) of one record's real Schur pairs."""
-    # a module global, looked up per call, so perfbench's tracer can wrap it
-    rp = real_pairs_fast(data)
-    return rp.s, rp.t, rp.ratio, rp.n_complex, rp.n_infinite
-
-
-def decompose_workers(threads: int, n_rep: int) -> int:
-    """Threads decompose_replications runs: threads capped at the CPUs and records.
+def decompose_workers(threads: int, n: int) -> int:
+    """Threads decompose_records runs: threads capped at the CPUs and records.
 
     One with the f2py binding of dggev, which holds the GIL.
     """
     if pencil.DGGEV != "ctypes":
         return 1
-    return max(1, min(threads, available_cpus(), n_rep))
+    return max(1, min(threads, available_cpus(), n))
 
 
-def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1):
-    """Per-replication (s, t, ratio, n_complex, n_infinite), replication order.
+def decompose_records(record, n: int, threads: int) -> list:
+    """[real_pairs_fast(record(i)) for i in range(n)]: each record's RealPairs, in order.
 
-    The records run on decompose_workers(threads, n_rep) threads, on a thread
+    The records run on decompose_workers(threads, n) threads, on a thread
     pool when there are several, with scipy's OpenBLAS pinned to one thread
     meanwhile: each record's QZ runs alone on one thread, whichever it is.
     """
 
-    def one(r):
-        # generate is a module global, looked up per call, as in decompose_record
-        return decompose_record(generate(model, seed, r))
+    def one(i):
+        # a module global, looked up per call, so perfbench's tracer can wrap it
+        return real_pairs_fast(record(i))
 
-    workers = decompose_workers(threads, n_rep)
+    workers = decompose_workers(threads, n)
     with pencil.one_blas_thread():
         if workers == 1:
-            return [one(r) for r in range(n_rep)]
+            return [one(i) for i in range(n)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_rep)))
+            return list(pool.map(one, range(n)))
+
+
+def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1) -> list:
+    """decompose_records of the model's replications 0 .. n_rep - 1 under seed."""
+    # generate is a module global, looked up per call, as real_pairs_fast is
+    return decompose_records(lambda r: generate(model, seed, r), n_rep, threads)
 
 
 def sample_from_pairs(pairs: list) -> tuple:
-    """(EigenSample, counts dict) from decompose_replications output."""
+    """(EigenSample, counts dict) from a list of RealPairs."""
     counts = {
-        "real_kept": int(sum(p[2].size for p in pairs)),
-        "complex_discarded": int(sum(p[3] for p in pairs)),
-        "infinite_discarded": int(sum(p[4] for p in pairs)),
+        "real_kept": int(sum(p.ratio.size for p in pairs)),
+        "complex_discarded": int(sum(p.n_complex for p in pairs)),
+        "infinite_discarded": int(sum(p.n_infinite for p in pairs)),
     }
-    counts["blocks_total"] = (
-        counts["real_kept"] + counts["complex_discarded"] + counts["infinite_discarded"]
-    )
-    sample = EigenSample(
-        s=[p[0] for p in pairs],
-        t=[p[1] for p in pairs],
-        ratio=[p[2] for p in pairs],
-        blocks_total=counts["blocks_total"],
-    )
+    counts["blocks_total"] = sum(counts.values())
+    sample = EigenSample(s=[p.s for p in pairs], t=[p.t for p in pairs],
+                         ratio=[p.ratio for p in pairs], blocks_total=counts["blocks_total"])
     return sample, counts
 
 
@@ -254,17 +247,9 @@ def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, meth
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    out: dict = {
-        "gaussian": None,
-        "proposed": None,
-        "fit": None,
-        "rho_hat": None,
-        "t_star": None,
-        "t_plus": None,
-        "modes_gaussian": None,
-        "modes_proposed": None,
-        "skipped_components": 0,
-    }
+    out: dict = dict.fromkeys(("gaussian", "proposed", "fit", "rho_hat", "t_star", "t_plus",
+                               "modes_gaussian", "modes_proposed"))
+    out["skipped_components"] = 0
     h_emp = empirical_density(sample, window, points)
     out["empirical"] = h_emp
     grid_x = h_emp.x

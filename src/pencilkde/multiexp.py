@@ -173,15 +173,20 @@ def write_dataset_json(path, dataset: Dataset) -> None:
 
 
 def read_dataset_json(path) -> Dataset:
+    """The Dataset of a JSON object {"data": matrix, "model": {zeta, f, sigma, n}}."""
     with open(path) as fh:
         payload = json.load(fh)
-    if "data" not in payload:
-        raise ValueError(f"{path}: missing 'data' field")
+    if not isinstance(payload, dict) or "data" not in payload:
+        raise ValueError(f"{path}: a dataset is a JSON object with a 'data' field")
     model = None
-    if "model" in payload:
-        m = payload["model"]
-        model = SignalModel(zeta=tuple(m["zeta"]), f=tuple(m["f"]), sigma=m["sigma"], n=m["n"])
-    data = np.asarray(payload["data"], dtype=float)
+    try:
+        if "model" in payload:
+            m = payload["model"]
+            model = SignalModel(zeta=tuple(m["zeta"]), f=tuple(m["f"]),
+                                sigma=float(m["sigma"]), n=int(m["n"]))
+        data = np.asarray(payload["data"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
     if data.ndim != 2:
         raise ValueError(f"{path}: data must be a matrix")
     return Dataset(data=data, model=model)

@@ -202,10 +202,9 @@ def singular_mask(spec: EqualVarSpec, t: float, x):
     return mask
 
 
-def _coeffs_raw(nu_v, nu_w, rho, t, x, co=None):
+def _coeffs_raw(nu_v, nu_w, rho, t, x):
     """(D, C, S, denom, denom_scale, dD/dx) arrays; C and dD/dx use the quotient rule."""
-    if co is None:
-        co = _poly_coeff_arrays(nu_v, nu_w, rho)
+    co = _poly_coeff_arrays(nu_v, nu_w, rho)
     pv = np.polynomial.polynomial.polyval
     p1 = pv(x, co["p1"])
     p2 = pv(x, co["p2"])

@@ -15,6 +15,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class SchurPairs:
     structure_residual: float
 
 
-@dataclass(frozen=True)
-class RealPairs:
+class RealPairs(NamedTuple):
     """Real pairs kept after discarding complex blocks and infinite ratios."""
 
     s: np.ndarray

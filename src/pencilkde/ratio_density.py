@@ -172,19 +172,21 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
 
     The means are squared as float64, which gives inf where Python's float
     power would raise OverflowError (|nu| > 1.34e154) and the same bits
-    elsewhere. Where q overflows (|x| beyond about 1.34e154) the density is
-    the same form with numerator and denominator divided by x^2.
+    elsewhere. Where |x| > 1 and 2 pi t q overflows (|x| beyond about
+    sqrt(2.9e307 / t), and wherever q overflows) the density is the same
+    form with numerator and denominator divided by x^2.
     """
     q = x * x - 2.0 * rho * x + 1.0
     lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
     one_m_r2 = 1.0 - rho * rho
-    gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(TWO_PI * t * q)
+    norm2 = TWO_PI * t * q
+    gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(norm2)
     term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
     nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
     e2 = np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
     term2 = np.sqrt(one_m_r2) / (np.pi * q) * e2
     h = term1 + term2
-    far = np.isinf(q) & np.isfinite(x)
+    far = np.isinf(norm2) & (np.abs(x) > 1.0) & np.isfinite(x)
     if np.any(far):
         with np.errstate(all="ignore"):  # x = 0 and the other non-far points go unused
             u = 1.0 / x
@@ -248,11 +250,12 @@ class _RatioKernel:
         """
         return np.exp((-1.0 + 2.0 * mu * self.rho - np.float64(mu) ** 2) / self.c)
 
-    def _saturated_sign(self, c, mu, a=0, b=None):
+    def _saturated_sign(self, mu, a, b):
         """s = +-1.0 when erf(lin_i / sqrt(c q_i)) is exactly s on all of x[a:b], else 0.0.
 
-        Reads lin of the last row. With u = 2^-53 and X = max |x| on the slice,
-        which an end has, as the slice is increasing:
+        Reads lin of the last row and c = 2 t (1 - rho^2) of prepare. With
+        u = 2^-53 and X = max |x| on the slice, which an end has, as the slice
+        is increasing:
         - lin: the computed lin_i is within E = 4u (1 + X)(1 + |mu|) of the
           linear l(x) = (1 - rho x) + mu (x - rho) (five roundings, |rho| < 1).
           If both computed ends have sign s and m = min |lin_end| >= 200 E,
@@ -268,7 +271,7 @@ class _RatioKernel:
           |z_i| >= 0.99 * 6 / (1 + 6e-5) > 5.939, where scipy's erf is exactly
           +-1.0 (from 5.9216 on), with the sign s of lin_i.
         """
-        last = (self.x.size if b is None else b) - 1
+        last = b - 1
         lin0, lin1 = float(self._lin[a]), float(self._lin[last])
         if lin0 > 0.0 and lin1 > 0.0:
             sign = 1.0
@@ -280,7 +283,7 @@ class _RatioKernel:
         q_max = max(float(self._q[a]), float(self._q[last]))
         one_x = 1.0 + max(abs(float(self.x[a])), abs(float(self.x[last])))
         err = 2.0**-51 * one_x * (1.0 + abs(mu))
-        if 6.0 * math.sqrt(c * q_max) <= m < math.inf and m >= 200.0 * err:
+        if 6.0 * math.sqrt(self.c * q_max) <= m < math.inf and m >= 200.0 * err:
             return sign
         return 0.0
 
@@ -299,7 +302,7 @@ class _RatioKernel:
         np.divide(lin, q, out=tmp)
         h *= tmp
         # term1 = gauss (lin / q) erf(lin / sqrt(2 t (1 - rho^2) q))
-        sign = self._saturated_sign(self.c, mu, a, b)
+        sign = self._saturated_sign(mu, a, b)
         if sign < 0.0:
             np.negative(h, out=h)
         elif sign == 0.0:
@@ -404,8 +407,8 @@ def derivatives(spec: EqualVarSpec, x):
     return h_t, h_x, h_xx
 
 
-def _adaptive_simpson(f, lo, hi, tol, max_depth=40):
-    """Recursive adaptive Simpson on [lo, hi]."""
+def _adaptive_simpson(f, lo, hi, tol):
+    """Recursive adaptive Simpson on [lo, hi], at most 40 halvings deep."""
 
     def simpson(a, fa, m, fm, b, fb):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -417,7 +420,7 @@ def _adaptive_simpson(f, lo, hi, tol, max_depth=40):
         frm = f(rm)
         left = simpson(a, fa, lm, flm, m, fm)
         right = simpson(m, fm, rm, frm, b, fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
+        if depth >= 40 or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         half = 0.5 * tol
         return recurse(a, fa, lm, flm, m, fm, left, half, depth + 1) + recurse(

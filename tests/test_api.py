@@ -1,4 +1,5 @@
-"""Every exported name resolves; the package does not load scipy.optimize."""
+"""Every exported name resolves; a run and an estimate load neither scipy.optimize,
+scipy.linalg nor multiprocessing."""
 
 import importlib
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pencilkde
+from pencilkde import pencil
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -27,18 +29,29 @@ def test_every_export_resolves():
 
 
 def test_run_does_not_import_scipy_optimize():
-    # importing scipy.optimize adds about 17 MiB and 0.2 s to every process
+    # scipy.optimize costs every process about 17 MiB and 0.2 s, scipy.linalg about 6 MiB
     code = """
-import sys
-import pencilkde, pencilkde.cli
-from pencilkde.harness import ExperimentConfig, run
-from pencilkde.multiexp import SignalModel
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+from pencilkde import cli
+from pencilkde.harness import ExperimentConfig, emit, run
+from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
+names = ("scipy.optimize", "scipy.linalg", "multiprocessing")
+loaded = lambda: [m for m in names if m in sys.modules]
+print(loaded())
 model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
-config = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64, seed=7)
-report = run(config)
-assert report.fit.converged
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
-assert not loaded, loaded
+cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64, tau=0.5,
+                       seed=7, threads=2)
+with tempfile.TemporaryDirectory() as out:
+    report = run(cfg)
+    assert report.fit.converged
+    emit(report, out)
+    data = Path(out) / "data.csv"
+    write_dataset_csv(data, Dataset(data=np.stack([generate(model, 7, r) for r in range(20)])))
+    argv = ["estimate", f"--data={data}", "--window=0.3,1.1", "--points=64", f"--out={out}/e"]
+    assert cli.main(argv) == 0
+print(loaded())
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -46,3 +59,7 @@ assert not loaded, loaded
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # the f2py fallback of dggev is the one user of scipy.linalg in a run
+    after = "[]" if pencil.DGGEV == "ctypes" else "['scipy.linalg']"
+    assert (lines[0], lines[-1]) == ("[]", after)

@@ -109,6 +109,47 @@ def micro_report():
     return run(micro_config())
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each thread pool harness opens; the stub pool maps serially."""
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    return seen
+
+
+@pytest.fixture
+def blas_threads_seen(monkeypatch):
+    """OpenBLAS's thread count at each harness.real_pairs_fast call, from a count of 2."""
+    lib = pencil._openblas
+    if lib is None:
+        pytest.skip("scipy's vendored OpenBLAS is not present")
+    seen = []
+
+    def record(data):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return pencil.real_pairs_fast(data)
+
+    monkeypatch.setattr(harness, "real_pairs_fast", record)
+    old = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield seen
+    lib.scipy_openblas_set_num_threads(old)
+
+
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(model=MICRO_MODEL, R=5, N_ref=10, window=(0.0, 1.0))
@@ -194,50 +235,23 @@ class TestDecompose:
         [(10**6, 40, available_cpus()), (2**64, 1, 1), (1, 40, 1),
          (2, 40, min(2, available_cpus()))],
     )
-    def test_workers_capped_at_cpus_and_records(self, threads, n_rep, workers, monkeypatch):
+    def test_workers_capped_at_cpus_and_records(self, threads, n_rep, workers, pool_sizes):
         if pencil.DGGEV != "ctypes":
             pytest.skip("the f2py binding always runs one worker")
-        # a stub executor records max_workers and maps serially: no thread starts
-        seen = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
         serial = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=1)
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=threads)
-        assert seen == ([] if workers == 1 else [workers])
+        assert pool_sizes == ([] if workers == 1 else [workers])
         assert harness.decompose_workers(threads, n_rep) == workers
         for pa, pb in zip(pairs, serial, strict=True):
             for va, vb in zip(pa, pb):
                 assert np.array_equal(va, vb)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blas_pinned_while_decomposing_then_restored(self, threads, monkeypatch):
-        lib = pencil._openblas
-        if lib is None:
-            pytest.skip("scipy's vendored OpenBLAS is not present")
-        seen = []
-
-        def record(data):
-            seen.append(lib.scipy_openblas_get_num_threads())
-            return pencil.real_pairs_fast(data)
-
-        monkeypatch.setattr(harness, "real_pairs_fast", record)
-        before = lib.scipy_openblas_get_num_threads()
+    def test_blas_pinned_while_decomposing_then_restored(self, threads, blas_threads_seen):
+        before = pencil._openblas.scipy_openblas_get_num_threads()
         decompose_replications(MICRO_MODEL, seed=3, n_rep=12, threads=threads)
-        assert seen == [1] * 12
-        assert lib.scipy_openblas_get_num_threads() == before
+        assert blas_threads_seen == [1] * 12
+        assert pencil._openblas.scipy_openblas_get_num_threads() == before
 
     def test_counts_sum_identity(self):
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=12)
@@ -753,6 +767,39 @@ class TestCli:
         assert (out / "modes.json").exists()
         assert (out / "params.json").exists()
         assert json.loads((out / "params.json").read_text())["method"] == "proposed"
+
+    def test_estimate_decomposes_on_the_pool(self, dataset_csv, tmp_path, pool_sizes):
+        if pencil.DGGEV != "ctypes" or available_cpus() == 1:
+            pytest.skip("estimate decomposes serially with the f2py binding or on one CPU")
+        code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--window=0.3,1.1",
+                              "--points=64", f"--out={tmp_path / 'est'}"])
+        assert code == 0
+        assert pool_sizes == [harness.decompose_workers(available_cpus(), 40)]
+
+    def test_estimate_pins_blas_then_restores(self, dataset_csv, tmp_path, blas_threads_seen):
+        before = pencil._openblas.scipy_openblas_get_num_threads()
+        code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--window=0.3,1.1",
+                              "--points=64", f"--out={tmp_path / 'est'}"])
+        assert code == 0
+        assert blas_threads_seen == [1] * 40
+        assert pencil._openblas.scipy_openblas_get_num_threads() == before
+
+    @pytest.mark.parametrize(
+        "payload",
+        [5,
+         {"model": {}, "data": [[1, 0.5, 0.25, 0.125]]},
+         {"model": 5, "data": [[1, 0.5, 0.25, 0.125]]},
+         {"model": {"zeta": [0.5], "f": [1.0], "sigma": 1e-3, "n": "auto"},
+          "data": [[1, 0.5, 0.25, 0.125]]}],
+        ids=["number", "model-empty", "model-number", "n-auto"],
+    )
+    def test_estimate_malformed_json_dataset_exits_two(self, payload, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["estimate", f"--data={path}", "--window=0.3,1.1",
+                                  "--points=16", f"--out={tmp_path / 'est'}"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_estimate_matches_the_harness(self, micro_report, tmp_path, capsys):
         cfg = micro_report.config

@@ -55,8 +55,7 @@ def loop_t_star_details(sample, fit, rho_hat, window):
     inv_sqrt = np.empty(pooled.size)
     valid = np.zeros(pooled.size, dtype=bool)
     for i, xi in enumerate(pooled):
-        co = pde._poly_coeff_arrays(1.0, float(xi), rho)
-        d, _, _, den, scale, _ = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi), co=co)
+        d, _, _, den, scale, _ = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi))
         if abs(den) > pde.EPS_DENOM * max(scale, 1e-300) and d > 0.0:
             inv_sqrt[i] = 1.0 / math.sqrt(d)
             valid[i] = True
@@ -526,7 +525,7 @@ def objective_branch(centers, theta, target=None):
         assert obj(theta) == reference_objective(theta, centers, y, width, t_cap)
     if t > t_cap:
         return None
-    return obj._saturated_sign(2.0 * t * (1.0 - rho * rho), mu)
+    return obj._saturated_sign(mu, 0, centers.size)
 
 
 def theta(t, mu, rho=None, arho=None):

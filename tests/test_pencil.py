@@ -1,7 +1,5 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
-import os
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -279,30 +277,6 @@ class TestDggevBindings:
         assert pencil._load_openblas(tmp_path / "absent") is None
         dggev, name = pencil._bind_dggev(None)
         assert (dggev, name) == (pencil._f2py_dggev, "f2py")
-
-    def test_import_and_run_leave_out_scipy_linalg_and_multiprocessing(self):
-        code = (
-            "import sys, tempfile\n"
-            "import pencilkde.harness, pencilkde.cli\n"
-            "from pencilkde.harness import ExperimentConfig, emit, run\n"
-            "from pencilkde.multiexp import SignalModel\n"
-            "names = ('scipy.linalg', 'multiprocessing')\n"
-            "loaded = lambda: [m for m in names if m in sys.modules]\n"
-            "print(loaded())\n"
-            "model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)\n"
-            "cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64,\n"
-            "                       tau=0.5, seed=7, threads=2)\n"
-            "with tempfile.TemporaryDirectory() as out:\n"
-            "    emit(run(cfg), out)\n"
-            "print(loaded())\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        ).stdout
-        expected = "[]\n[]\n" if pencil.DGGEV == "ctypes" else "[]\n['scipy.linalg']\n"
-        assert out == expected
 
 
 class TestVandermondeSolve:

@@ -170,6 +170,16 @@ class TestDensityEqualVar:
         mixed = density_equal_var(spec, np.array([0.9, 1e300]))
         assert mixed[0] == density_equal_var(spec, 0.9) and mixed[1] == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t, x, x_near", [(1.0, 1.3e154, 1.35e154), (1e4, 1e153, 4e151)])
+    def test_far_tail_where_2_pi_t_q_overflows(self, t, x, x_near):
+        # q is finite at x but 2 pi t q is not: term1 was lost and h read 0.0 at t = 1;
+        # x^2 h must match a point nearby where q overflows (t = 1) or nothing does (t = 1e4)
+        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.0, t=t)
+        assert math.isfinite(x * x - 1.0) and math.isinf(2.0 * math.pi * t * (x * x + 1.0))
+        k = x * (x * density_equal_var(spec, x))
+        assert k == pytest.approx(x_near * (x_near * density_equal_var(spec, x_near)), rel=1e-12)
+
 
 class TestSaturatedErf:
     """_erf skips scipy's erf where it is exactly +-1.0; the bits must not move."""
