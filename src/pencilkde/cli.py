@@ -34,7 +34,7 @@ from .harness import (
     run,
     sample_from_pairs,
 )
-from .kde import DensityGrid, FitNonConvergenceError, extract_modes
+from .kde import DensityGrid, FitNonConvergenceError, _bin_grid, extract_modes
 from .multiexp import read_dataset_csv, read_dataset_json
 from .pde import SingularPointError, _residual_row, singular_mask
 from .pencil import DecompositionError
@@ -142,13 +142,15 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # a bad window or point count fails before the dataset is read and decomposed
+    window = _parse_window(args.window)
+    _bin_grid(window, args.points)
     path = Path(args.data)
     if not path.exists():
         raise ValueError(f"dataset not found: {path}")
     dataset = read_dataset_json(path) if path.suffix == ".json" else read_dataset_csv(path)
     pairs = decompose_records(dataset.data.__getitem__, len(dataset.data), available_cpus())
     sample, counts = sample_from_pairs(pairs)
-    window = _parse_window(args.window)
     result = estimate_pipeline(sample, window, args.points, args.tau, args.method)
 
     out = Path(args.out)

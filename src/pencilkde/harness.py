@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import pencil
 from .kde import (
+    MAX_POINTS,
     DensityGrid,
     EigenSample,
     FitResult,
@@ -127,8 +128,8 @@ class ExperimentConfig:
         if not float(lo) < float(hi):
             raise ValueError(f"window must be increasing, got {self.window}")
         object.__setattr__(self, "window", (float(lo), float(hi)))
-        if self.points < 16:
-            raise ValueError(f"points must be >= 16, got {self.points}")
+        if not 16 <= self.points <= MAX_POINTS:
+            raise ValueError(f"points must be in [16, {MAX_POINTS}], got {self.points}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.seed < 2**64:

@@ -5,7 +5,9 @@ histogram (the empirical condensed density), a Gaussian kernel estimate with
 a plug-in bandwidth, and the proposed estimate that replaces the Gaussian
 kernel by the exact ratio-of-Gaussians density, one component per real
 eigenvalue, sharing a pooled pair correlation and a bandwidth chosen from
-the density's own evolution equation.
+the density's own evolution equation. That bandwidth rule reads a pilot: a
+single ratio density fitted to the histogram by least squares, with the
+package's own projected Levenberg-Marquardt search.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ _EXP_ZERO = 750.0
 N_STARTS = 6
 GL_NODES = 128
 WINDOW_EXTEND = 0.20
+# most grid points or bins accepted; the paper uses at most 8,192
+MAX_POINTS = 2**20
 
 __all__ = [
     "EigenSample",
@@ -124,9 +128,9 @@ class FitResult:
     rho0: float
     objective: float
     converged: bool = True
-    # diagnostics for metadata.json: objective evaluations per start, starts
+    # diagnostics for metadata.json: residual evaluations per start, starts
     # that converged, whether t0 sits at the variance cap span^2, and whether
-    # the minimizer's |atanh rho| is at or beyond its transform cap
+    # the minimizer's |atanh rho| sits on its bound
     nfev: tuple = ()
     n_converged: int = 0
     at_t_cap: bool = False
@@ -142,8 +146,8 @@ def _bin_grid(window, bins: int):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"window must be increasing, got {window}")
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
+    if not 2 <= bins <= MAX_POINTS:
+        raise ValueError(f"need 2 to {MAX_POINTS} bins, got {bins}")
     # empirical_density divides by edges[1] - edges[0] and DensityGrid wants
     # finite, strictly increasing centres: near the float range a width or a
     # centre overflows, and a few ulps wide a width or a spacing rounds to 0.0
@@ -265,9 +269,9 @@ class _FitObjective(_RatioKernel):
     """The reference fit's objective on one histogram, evaluated in place.
 
     Each evaluation prepares the kernel at (t, rho), writes one row over all
-    the bin centres and sums the squared residuals into a preallocated
-    buffer: the IEEE operations of _h_erf_raw(centers, t, 1.0, mu, rho) and
-    of the residual sum, with the kernel's shortcuts.
+    the bin centres and sums the squared residuals: the IEEE operations of
+    _h_erf_raw(centers, t, 1.0, mu, rho) and of the residual sum, with the
+    kernel's shortcuts.
     """
 
     def __init__(self, centers, target, width, t_cap):
@@ -275,157 +279,119 @@ class _FitObjective(_RatioKernel):
         self.target = target
         self.width = width
         self.t_cap = t_cap
-        self._res = np.empty(centers.size)
 
-    def __call__(self, theta) -> float:
+    def residuals(self, theta):
+        """(objective, h - target) at theta; no residuals where the objective is 1e300."""
         t, mu, rho = _theta_to_params(theta)
         if t > self.t_cap:
-            return 1e300
+            return 1e300, None
         self.prepare(t, rho)
         h = self.row(mu, self.cauchy_exp(mu), 0, self.x.size)
-        res = self._res
-        np.subtract(h, self.target, out=res)
-        np.multiply(res, res, out=res)
-        total = res.sum()
+        res = h - self.target
+        total = (res * res).sum()
         # a finite sum of squares proves every h finite; only otherwise look
         if not math.isfinite(total) and not np.all(np.isfinite(h)):
-            return 1e300
-        return float(total * self.width)
+            return 1e300, None
+        return float(total * self.width), res
 
 
-# Nelder-Mead stopping rule of the reference fit
-_NM_XATOL = 1e-7
-_NM_FATOL = 1e-13
-_NM_MAXITER = 4000
-_NM_MAXFEV = 6000
+# Levenberg-Marquardt stopping rule of the reference fit: a start ends when an
+# accepted step moves no coordinate by more than _XATOL and lowers the
+# objective by at most _FATOL, or when no damped step lowers it; a start that
+# computes _LM_MAXITER Jacobians without stopping has not converged
+_XATOL = 1e-7
+_FATOL = 1e-13
+_LM_MAXITER = 500
+# damping: 1 at each start, /10 after an accepted step, *10 after a rejected
+# one; past _LAMBDA_MAX no damped step lowers the objective
+_LAMBDA_MAX = 1e16
+# forward-difference step of the Jacobian, relative to max(1, |theta_j|)
+_FD_STEP = 2.0**-26
 
 
-class _MaxFevReached(Exception):
-    pass
+def _log_t_max(t_cap):
+    """The largest double u <= _LOG_T_CAP with exp(u) <= t_cap, bisected up from log(t_cap)."""
+
+    def below(u):
+        return u <= _LOG_T_CAP and math.exp(u) <= t_cap
+
+    lo = min(math.log(t_cap), _LOG_T_CAP)
+    while not below(lo):
+        lo = math.nextafter(lo, -math.inf)
+    step = 2.0**-40 * max(1.0, abs(lo))
+    while below(lo + step):
+        step *= 2.0
+    hi = lo + step
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
 
 
-# _nelder_mead is ported from SciPy 1.17, whose licence it keeps:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-def _nelder_mead(func, x0):
-    """(x, fun, nfev, success) of a Nelder-Mead simplex search for a minimum of func.
+def _levenberg_marquardt(objective, x, lower, upper):
+    """(x, fun, nfev, converged) of a projected Levenberg-Marquardt search from x.
 
-    Ported from scipy.optimize._optimize._minimize_neldermead (BSD-3-Clause,
-    notice above), keeping only what fit_reference uses: no bounds, the
-    standard coefficients (reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2) and the _NM_* stopping rule. The operations and their order
-    are scipy's, so each evaluation point, the result and the count of
-    evaluations match scipy.optimize.minimize(func, x0, method="Nelder-Mead")
-    with those options bit for bit: the initial steps of 5% and 0.00025, the
-    argsort/take re-sorts that order tied values, the centroid sum, the stop
-    after _NM_MAXFEV evaluations even inside a shrink, and success meaning
-    that neither cap was reached.
+    Minimizes objective.residuals' sum of squares in the box [lower, upper]
+    by damped Gauss-Newton steps (Levenberg 1944, Marquardt 1963): the
+    Jacobian by forward differences (backward at an upper bound), the damping
+    scaled by diag(J^T J), each step projected onto the box, and a coordinate
+    that sits on a bound the gradient pushes past held for that step. A step
+    is accepted only if it strictly lowers the objective, compared as
+    objective.residuals computes it. nfev counts residual evaluations,
+    Jacobian columns included.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= _NM_MAXFEV:
-            raise _MaxFevReached
-        nfev += 1
-        return func(x)
-
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        fsim[k] = f(sim[k])
-    # scipy sorts twice here; argsort may reorder ties, so the second sort stays
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while nfev < _NM_MAXFEV and iterations < _NM_MAXITER:
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= _NM_XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL
-        ):
-            break
-        try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc < fsim[-1]
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-                else:
-                    sim[-1], fsim[-1] = xc, fxc
-            iterations += 1
-        except _MaxFevReached:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    return sim[0], np.min(fsim), nfev, nfev < _NM_MAXFEV and iterations < _NM_MAXITER
+    fun, res = objective.residuals(x)
+    nfev = 1
+    if res is None:
+        return x, fun, nfev, False
+    lam = 1.0
+    jac = np.empty((res.size, x.size))
+    for _ in range(_LM_MAXITER):
+        for j in range(x.size):
+            h = _FD_STEP * max(1.0, abs(x[j]))
+            xj = x.copy()
+            xj[j] = x[j] + h if x[j] + h <= upper[j] else x[j] - h
+            res_j = objective.residuals(xj)[1]
+            nfev += 1
+            jac[:, j] = 0.0 if res_j is None else (res_j - res) / (xj[j] - x[j])
+        grad = jac.T @ res
+        jtj = jac.T @ jac
+        scale = jtj.diagonal().copy()
+        # held: a coordinate the Jacobian does not see, or on a bound the descent points past
+        free = (scale > 0.0) & ~((x <= lower) & (grad > 0.0)) & ~((x >= upper) & (grad < 0.0))
+        block = np.ix_(free, free)
+        while True:
+            step = np.zeros(x.size)
+            step[free] = np.linalg.solve(jtj[block] + np.diag(lam * scale[free]), -grad[free])
+            x_new = np.clip(x + step, lower, upper)
+            if lam > _LAMBDA_MAX or np.array_equal(x_new, x):
+                return x, fun, nfev, True
+            fun_new, res_new = objective.residuals(x_new)
+            nfev += 1
+            if fun_new < fun:
+                break
+            lam *= 10.0
+        lam /= 10.0
+        done = np.max(np.abs(x_new - x)) <= _XATOL and fun - fun_new <= _FATOL
+        x, fun, res = x_new, fun_new, res_new
+        if done:
+            return x, fun, nfev, True
+    return x, fun, nfev, False
 
 
 def fit_reference(h_e: DensityGrid) -> FitResult:
     """Least-squares fit of a single ratio density to the empirical histogram.
 
     Minimizes the discrete L2 distance over (t, mu, rho) in transformed
-    coordinates (log t, mu, atanh rho) with Nelder-Mead from N_STARTS starts.
-    The simplex search is the package's own port of scipy's (_nelder_mead),
-    bit for bit the same, because importing scipy.optimize for it would cost
-    every process about 17 MiB of memory and 0.2 s.
+    coordinates (log t, mu, atanh rho) with a projected Levenberg-Marquardt
+    search (_levenberg_marquardt) from N_STARTS starts, and reports the best.
+    The search is the package's own, because importing scipy.optimize would
+    cost every process about 17 MiB of memory and 0.2 s. Its box keeps log t
+    in [-41, log t_cap], rounded down so that t0 <= t_cap, and |atanh rho|
+    <= 11.8; mu is free. nfev counts each start's residual evaluations,
+    Jacobian columns included, and FitNonConvergenceError means that every
+    start reached the iteration cap.
 
     The variance is restricted to t <= span^2 where span is the histogram
     window width. Without the bound the problem is not identified: densities
@@ -461,11 +427,14 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     assert len(starts) == N_STARTS
 
     objective = _FitObjective(centers, target, width, t_cap)
+    lower = np.array([-_LOG_T_CAP, -np.inf, -_ARHO_CAP])
+    upper = np.array([_log_t_max(t_cap), np.inf, _ARHO_CAP])
     best_x = best_fun = None
     nfev = []
     n_converged = 0
     for x0 in starts:
-        x, fun, n, success = _nelder_mead(objective, x0)
+        x0 = np.clip(x0, lower, upper)
+        x, fun, n, success = _levenberg_marquardt(objective, x0, lower, upper)
         if best_fun is None or fun < best_fun:
             best_x, best_fun = x, fun
         nfev.append(n)
@@ -484,7 +453,7 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
         at_rho_cap=abs(float(best_x[2])) >= _ARHO_CAP,
     )
     if not fit.converged:
-        raise FitNonConvergenceError("no Nelder-Mead start converged", fit)
+        raise FitNonConvergenceError("no Levenberg-Marquardt start converged", fit)
     return fit
 
 

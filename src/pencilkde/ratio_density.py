@@ -176,16 +176,18 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
     sqrt(2.9e307 / t), and wherever q overflows) the density is the same
     form with numerator and denominator divided by x^2.
     """
-    q = x * x - 2.0 * rho * x + 1.0
-    lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
-    one_m_r2 = 1.0 - rho * rho
-    norm2 = TWO_PI * t * q
-    gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(norm2)
-    term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
-    nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
-    e2 = np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
-    term2 = np.sqrt(one_m_r2) / (np.pi * q) * e2
-    h = term1 + term2
+    # far points overflow here and are replaced below; callers check any other non-finite h
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x * x - 2.0 * rho * x + 1.0
+        lin = nu_v * (1.0 - rho * x) + nu_w * (x - rho)
+        one_m_r2 = 1.0 - rho * rho
+        norm2 = TWO_PI * t * q
+        gauss = np.exp(-((nu_w - nu_v * x) ** 2) / (2.0 * t * q)) / np.sqrt(norm2)
+        term1 = gauss * (lin / q) * _erf(lin / np.sqrt(2.0 * t * one_m_r2 * q))
+        nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
+        e2 = np.exp((-nv2 + 2.0 * nu_v * nu_w * rho - nw2) / (2.0 * t * one_m_r2))
+        term2 = np.sqrt(one_m_r2) / (np.pi * q) * e2
+        h = term1 + term2
     far = np.isinf(norm2) & (np.abs(x) > 1.0) & np.isfinite(x)
     if np.any(far):
         with np.errstate(all="ignore"):  # x = 0 and the other non-far points go unused

@@ -169,6 +169,7 @@ class TestExperimentConfig:
             {"window": (1.0, 1.0)},
             {"window": (1.0, 0.5)},
             {"points": 8},
+            {"points": 2**20 + 1},
             {"tau": 0.0},
             {"seed": -1},
             {"method": "spline"},
@@ -837,6 +838,35 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.fixture()
+    def no_decompose(self, monkeypatch):
+        """The calls to a decomposition that fails; the test asserts there were none."""
+        calls = []
+
+        def boom(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("decomposed before the options were checked")
+
+        monkeypatch.setattr(cli, "decompose_records", boom)
+        monkeypatch.setattr(harness, "decompose_records", boom)
+        return calls
+
+    @pytest.mark.parametrize("option", ["--window=oops", "--points=1"])
+    def test_estimate_checks_options_before_decomposing(
+        self, option, dataset_csv, tmp_path, no_decompose
+    ):
+        argv = ["estimate", f"--data={dataset_csv}", "--window=0.3,1.1", f"--out={tmp_path}/x"]
+        code, out, err = run_cli(argv + [option])
+        assert (code, out, no_decompose) == (2, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_simulate_huge_points_exits_before_decomposing(self, tmp_path, no_decompose):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(micro_config_dict(points=2**40)))
+        code, out, err = run_cli(["simulate", f"--config={cfg_path}", f"--out={tmp_path}/o"])
+        assert (code, out, no_decompose) == (2, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_estimate_ulp_wide_window_prints_one_line(self, dataset_csv, tmp_path):
         # the bin width rounded to 0.0 and numpy warned before the error line

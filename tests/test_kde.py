@@ -1,6 +1,5 @@
 """Condensed-density estimators: histogram, Gaussian baseline, PDE mixture."""
 
-import itertools
 import math
 import warnings
 from contextlib import contextmanager
@@ -17,7 +16,6 @@ from pencilkde.kde import (
     DensityGrid,
     EigenSample,
     FitResult,
-    _nelder_mead,
     bandwidth_t_star_details,
     count_outside,
     empirical_density,
@@ -93,25 +91,29 @@ def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
     return y
 
 
-def reference_objective(theta, centers, target, width, t_cap):
-    """Reference: the fit objective before _FitObjective, built on _h_erf_raw."""
+def reference_residuals(theta, centers, target, width, t_cap):
+    """Reference: the fit's objective and residuals before _FitObjective, built on _h_erf_raw."""
     t, mu, rho = kde._theta_to_params(theta)
     if t > t_cap:
-        return 1e300
+        return 1e300, None
     h = _h_erf_raw(centers, t, 1.0, mu, rho)
     if not np.all(np.isfinite(h)):
-        return 1e300
-    return float(((h - target) ** 2).sum() * width)
+        return 1e300, None
+    return float(((h - target) ** 2).sum() * width), h - target
+
+
+def reference_objective(theta, centers, target, width, t_cap):
+    return reference_residuals(theta, centers, target, width, t_cap)[0]
 
 
 class ReferenceObjective:
-    """Drop-in for kde._FitObjective that evaluates reference_objective."""
+    """Drop-in for kde._FitObjective that evaluates reference_residuals."""
 
     def __init__(self, centers, target, width, t_cap):
         self.args = (centers, target, width, t_cap)
 
-    def __call__(self, theta):
-        return reference_objective(theta, *self.args)
+    def residuals(self, theta):
+        return reference_residuals(theta, *self.args)
 
 
 def synthetic_histogram(rng, centres, weights, sd, window, bins, size=20_000):
@@ -235,6 +237,8 @@ class TestEmpiricalDensity:
             empirical_density(sample, (1.0, 1.0), 4)
         with pytest.raises(ValueError):
             empirical_density(sample, (0.0, 1.0), 1)
+        with pytest.raises(ValueError):
+            empirical_density(sample, (0.0, 1.0), kde.MAX_POINTS + 1)
 
     @pytest.mark.parametrize(
         "window",
@@ -389,22 +393,32 @@ class TestFitReference:
         ]:
             assert objective(t, mu, rho) >= fit.objective
 
-    def test_objective_non_increasing_along_accepted_steps(self, oracle_fit):
-        _, h_e, fit = oracle_fit
-        width = float(h_e.x[1] - h_e.x[0])
-        span = float(h_e.x[-1] - h_e.x[0]) + width
-        trace = []
-        x0 = np.array([math.log(0.02), 0.8, 0.0])
-        objective = kde._FitObjective(h_e.x, h_e.y, width, span * span)
-        scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 300},
-            callback=lambda xk: trace.append(objective(xk)),
-        )
-        assert len(trace) > 10
-        assert all(b <= a for a, b in zip(trace, trace[1:]))
+    def test_objective_decreases_along_accepted_steps(self, monkeypatch):
+        evaluations, searches = [], []
+
+        class Recorded(kde._FitObjective):
+            def residuals(self, theta):
+                fun, res = super().residuals(theta)
+                evaluations.append((tuple(theta.tolist()), fun))
+                return fun, res
+
+        def recorded(objective, x0, lower, upper):
+            evaluations.clear()
+            out = levenberg_marquardt(objective, x0, lower, upper)
+            searches.append((accepted_objectives(evaluations), len(evaluations), out))
+            return out
+
+        levenberg_marquardt = kde._levenberg_marquardt
+        monkeypatch.setattr(kde, "_FitObjective", Recorded)
+        monkeypatch.setattr(kde, "_levenberg_marquardt", recorded)
+        fit = fit_reference(model1_like_histogram())
+        assert len(searches) == kde.N_STARTS
+        for accepted, evaluated, (_, fun, nfev, converged) in searches:
+            assert converged and nfev == evaluated
+            assert len(accepted) > 10
+            assert all(b < a for a, b in zip(accepted, accepted[1:]))
+            assert fun <= accepted[-1]
+        assert fit.objective == min(out[1] for _, _, out in searches)
 
     def test_rejects_sparse_histogram(self):
         x = np.linspace(0.0, 1.0, 16)
@@ -416,92 +430,46 @@ class TestFitReference:
     def test_at_rho_cap(self, oracle_fit):
         assert not oracle_fit[2].at_rho_cap
         fit = fit_reference(model2_like_histogram())
-        assert fit.at_rho_cap and not fit.at_t_cap
+        assert fit.at_rho_cap and fit.rho_near_boundary and not fit.at_t_cap
         assert abs(math.atanh(fit.rho0)) > 0.99 * kde._ARHO_CAP
+
+    def test_iteration_cap_means_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(kde, "_LM_MAXITER", 1)
+        with pytest.raises(kde.FitNonConvergenceError) as err:
+            fit_reference(model1_like_histogram())
+        assert err.value.best.n_converged == 0 and len(err.value.best.nfev) == kde.N_STARTS
+
+    @pytest.mark.parametrize("t_cap", [0.0625, 0.0121, 1.0, 2.0, 1e-17, 1e-300, 1e18, math.inf])
+    def test_log_t_max(self, t_cap):
+        u = kde._log_t_max(t_cap)
+        assert u <= kde._LOG_T_CAP and math.exp(u) <= t_cap
+        assert u == kde._LOG_T_CAP or math.exp(math.nextafter(u, math.inf)) > t_cap
+
+
+def accepted_objectives(evaluations):
+    """The objective at each point a search took a Jacobian at, from its (theta, fun) in order.
+
+    A Jacobian is three evaluations at x + h_j e_j, j = 0, 1, 2, each off x in
+    coordinate j alone, where x was evaluated before: as the start or as the
+    trial step just accepted.
+    """
+    seen, out, i = {}, [], 0
+    while i < len(evaluations):
+        jacobian = [theta for theta, _ in evaluations[i : i + 3]]
+        if len(jacobian) == 3:
+            a, b, c = jacobian
+            x = (b[0], a[1], a[2])
+            moved = [tuple(p != q for p, q in zip(theta, x)) for theta in jacobian]
+            if x in seen and moved == [tuple(k == j for k in range(3)) for j in range(3)]:
+                out.append(seen[x])
+                i += 3
+                continue
+        seen[evaluations[i][0]] = evaluations[i][1]
+        i += 1
+    return out
 
 
 NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000}
-
-
-def scipy_nelder_mead(func, x0):
-    res = scipy.optimize.minimize(
-        func, np.array(x0, dtype=float), method="Nelder-Mead", options=NM_OPTIONS
-    )
-    return res.x, res.fun, res.nfev, res.success
-
-
-def recorded_search(minimize, func, x0):
-    """minimize(func, x0) and the points it evaluated func at, in call order."""
-    points = []
-
-    def recorded(x):
-        points.append(np.array(x, dtype=float))
-        return func(x)
-
-    return minimize(recorded, x0), points
-
-
-def assert_nelder_mead_matches_scipy(make_func, x0):
-    """_nelder_mead evaluates scipy's points and returns its x, fun, nfev and success.
-
-    make_func() gives each search a fresh objective, so stateful ones start
-    alike; returns _nelder_mead's result.
-    """
-    got, points = recorded_search(_nelder_mead, make_func(), x0)
-    want, want_points = recorded_search(scipy_nelder_mead, make_func(), x0)
-    assert same_bits(np.asarray(got[0]), want[0])
-    assert same_bits(np.asarray(got[1]), np.asarray(want[1]))
-    assert (got[2], got[3]) == (want[2], want[3])
-    assert len(points) == len(want_points) == got[2]
-    assert all(same_bits(a, b) for a, b in zip(points, want_points))
-    return got
-
-
-def capped_quadratic(x):
-    """A quadratic with 1e300 beyond x[0] = 1, like the fit's t cap."""
-    if x[0] > 1.0:
-        return 1e300
-    return float(((x - np.array([0.3, -0.2, 0.1])) ** 2).sum())
-
-
-def call_counter():
-    """f(x) = the number of calls so far: each point is worse than all before it."""
-    calls = itertools.count(1)
-    return lambda x: float(next(calls))
-
-
-class TestNelderMead:
-    """_nelder_mead against scipy's Nelder-Mead on toy objectives, bit for bit."""
-
-    def test_zero_start_coordinate_and_a_cap(self):
-        # 0.99 * 1.05 crosses the cap: 1e300 vertices from the first simplex on
-        x, fun, _, success = assert_nelder_mead_matches_scipy(
-            lambda: capped_quadratic, (0.99, 0.5, 0.0)
-        )
-        assert success and x[0] <= 1.0 and fun < 1e-12
-
-    def test_ties_at_1e300_and_shrinks(self):
-        # every vertex sits beyond the cap, so the sorts order four equal
-        # values and every step shrinks the simplex
-        _, fun, _, success = assert_nelder_mead_matches_scipy(
-            lambda: capped_quadratic, (2.0, 0.5, 0.0)
-        )
-        assert success and fun == 1e300
-
-    def test_maxiter_stop(self):
-        # 12-d Rosenbrock from 0 spends about 1.3 evaluations per iteration
-        def rosenbrock(x):
-            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-        _, _, nfev, success = assert_nelder_mead_matches_scipy(lambda: rosenbrock, np.zeros(12))
-        assert not success and nfev < NM_OPTIONS["maxfev"]
-
-    def test_maxfev_stop_inside_a_shrink(self):
-        # in 7-d each iteration costs a reflection, an inside contraction and
-        # 7 shrink evaluations; 6000 = 8 + 665 * 9 + 7 stops after the fifth
-        # shrink evaluation of the 666th iteration
-        _, _, nfev, success = assert_nelder_mead_matches_scipy(call_counter, np.ones(7))
-        assert not success and nfev == NM_OPTIONS["maxfev"]
 
 
 def objective_branch(centers, theta, target=None):
@@ -522,7 +490,7 @@ def objective_branch(centers, theta, target=None):
             targets.append(h)
     for y in targets:
         obj = kde._FitObjective(centers, y, width, t_cap)
-        assert obj(theta) == reference_objective(theta, centers, y, width, t_cap)
+        assert obj.residuals(theta)[0] == reference_objective(theta, centers, y, width, t_cap)
     if t > t_cap:
         return None
     return obj._saturated_sign(mu, 0, centers.size)
@@ -554,15 +522,16 @@ class TestFitObjective:
         width = float(x[1] - x[0])
         t_cap = (float(x[-1] - x[0]) + width) ** 2
         obj = kde._FitObjective(x, np.ones_like(x), width, t_cap)
-        assert obj(theta(t_cap * 1.001, 0.9, 0.3)) == 1e300
-        assert obj(np.array([60.0, 0.9, 0.0])) == 1e300
+        assert obj.residuals(theta(t_cap * 1.001, 0.9, 0.3)) == (1e300, None)
+        assert obj.residuals(np.array([60.0, 0.9, 0.0])) == (1e300, None)
         assert objective_branch(x, theta(t_cap * (1.0 - 1e-9), 0.9, 0.3)) == 0.0
 
     @pytest.mark.parametrize("mu", [1.4e154, 1e200, -1e200])
     def test_far_off_mean_gives_a_value(self, mu):
         # mu^2 overflows; Python's float power raised OverflowError here
         x = np.linspace(0.75, 1.0, 256)
-        got = kde._FitObjective(x, np.ones_like(x), x[1] - x[0], 1.0)(theta(1e-3, mu, 0.3))
+        obj = kde._FitObjective(x, np.ones_like(x), x[1] - x[0], 1.0)
+        got, _ = obj.residuals(theta(1e-3, mu, 0.3))
         assert got == float(np.ones_like(x).sum() * (x[1] - x[0]))
         objective_branch(x, theta(1e-3, mu, 0.3))
 
@@ -571,7 +540,7 @@ class TestFitObjective:
         # 2 mu rho overflows too: the Cauchy term's exponent is NaN
         x = np.linspace(0.75, 1.0, 256)
         obj = kde._FitObjective(x, np.ones_like(x), x[1] - x[0], 1.0)
-        assert obj(theta(1e-3, 1e308, 0.3)) == 1e300
+        assert obj.residuals(theta(1e-3, 1e308, 0.3)) == (1e300, None)
         objective_branch(x, theta(1e-3, 1e308, 0.3))
 
     def test_unsaturated_branch(self, oracle_fit):
@@ -626,7 +595,7 @@ class TestFitObjective:
 
 
 class TestFitReferenceObjective:
-    """fit_reference with _FitObjective takes the reference objective's Nelder-Mead path."""
+    """fit_reference with _FitObjective takes the reference objective's search path."""
 
     def fits(self, h_e, monkeypatch):
         got = fit_reference(h_e)
@@ -642,11 +611,15 @@ class TestFitReferenceObjective:
         assert got.nfev == want.nfev and len(got.nfev) == kde.N_STARTS
 
     def test_model1_like_histogram(self, monkeypatch):
-        got, want = self.fits(model1_like_histogram(), monkeypatch)
+        h_e = model1_like_histogram()
+        got, want = self.fits(h_e, monkeypatch)
         assert got == want
         assert got.nfev == want.nfev
-        # as on model1, the (0.75, 1.0) window pins t0 at its cap span^2
+        # as on model1, the (0.75, 1.0) window pins t0 at its cap span^2, on
+        # the projection's bound and never past it
+        t_cap = (float(h_e.x[-1] - h_e.x[0]) + float(h_e.x[1] - h_e.x[0])) ** 2
         assert got.at_t_cap and got.t0 == pytest.approx(0.25**2, rel=1e-9)
+        assert got.t0 == math.exp(kde._log_t_max(t_cap)) <= t_cap
 
     def test_model2_like_histogram(self, monkeypatch):
         # like model2's fit, rho0 runs to the cap and every evaluation takes the
@@ -656,7 +629,8 @@ class TestFitReferenceObjective:
         assert got.nfev == want.nfev
 
     @pytest.mark.parametrize("histogram", ["oracle", "model1", "model2"])
-    def test_every_start_matches_scipy(self, histogram, oracle_fit, monkeypatch):
+    def test_at_or_below_scipy_nelder_mead(self, histogram, oracle_fit, monkeypatch):
+        # scipy's Nelder-Mead from the same starts, stopped at the fit's xatol and fatol
         h_e = {
             "oracle": lambda: oracle_fit[1],
             "model1": model1_like_histogram,
@@ -664,17 +638,22 @@ class TestFitReferenceObjective:
         }[histogram]()
         starts = []
 
-        def checked(func, x0):
-            starts.append(x0)
-            return assert_nelder_mead_matches_scipy(lambda: func, x0)
+        def recorded(objective, x0, lower, upper):
+            starts.append((objective, x0.copy()))
+            return levenberg_marquardt(objective, x0, lower, upper)
 
-        monkeypatch.setattr(kde, "_nelder_mead", checked)
+        levenberg_marquardt = kde._levenberg_marquardt
+        monkeypatch.setattr(kde, "_levenberg_marquardt", recorded)
         fit = fit_reference(h_e)
         assert len(starts) == kde.N_STARTS
-        # the starts' atanh 0 = 0 takes the 0.00025 step
-        assert any(x0[2] == 0.0 for x0 in starts)
-        if histogram == "oracle":
-            assert fit == oracle_fit[2]
+        runs = [
+            scipy.optimize.minimize(
+                lambda th: objective.residuals(th)[0], x0, method="Nelder-Mead", options=NM_OPTIONS
+            )
+            for objective, x0 in starts
+        ]
+        assert fit.objective <= min(r.fun for r in runs) * (1.0 + 1e-9)
+        assert 2 * sum(fit.nfev) <= sum(r.nfev for r in runs)
 
     def test_diagnostics(self, oracle_fit):
         _, _, fit = oracle_fit

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ class TestDensityEqualVar:
         assert math.isfinite(x * x - 1.0) and math.isinf(2.0 * math.pi * t * (x * x + 1.0))
         k = x * (x * density_equal_var(spec, x))
         assert k == pytest.approx(x_near * (x_near * density_equal_var(spec, x_near)), rel=1e-12)
+
+    def test_far_tail_without_warnings(self):
+        # the direct form overflowed at these points before the far branch replaced them
+        spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.0, t=1.0)
+        xs = [5.4e153, 1.3e154, 1e300, -1e300]
+        want = [float.fromhex(v) for v in ("0x0.6919ab3ccf0f4p-1022", "0x0.12226c03291eap-1022")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [density_equal_var(spec, x) for x in xs]
+            got_array = density_equal_var(spec, np.array(xs))
+        assert got == got_array.tolist() == want + [0.0, 0.0]
 
 
 class TestSaturatedErf:
