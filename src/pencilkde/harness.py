@@ -39,10 +39,12 @@ from .kde import (
     pooled_correlation,
     proposed_estimate,
 )
-from .multiexp import SignalModel, generate, select_n
+from .multiexp import N_MAX, SignalModel, generate, select_n
 from .pencil import real_pairs_fast
+from .specfun import ERF
 
 METHODS = ("gaussian", "proposed", "both")
+MAX_N_REF = 10**6  # far above the paper's 10,000 records
 
 __all__ = [
     "ExperimentConfig",
@@ -124,6 +126,10 @@ class ExperimentConfig:
             raise ValueError(f"R must be >= 1, got {self.R}")
         if self.R > self.N_ref:
             raise ValueError(f"R={self.R} exceeds N_ref={self.N_ref}")
+        if self.N_ref > MAX_N_REF:
+            raise ValueError(f"N_ref must be <= {MAX_N_REF}, got {self.N_ref}")
+        if self.model.n > N_MAX:
+            raise ValueError(f"model n must be <= {N_MAX}, got {self.model.n}")
         lo, hi = self.window
         if not float(lo) < float(hi):
             raise ValueError(f"window must be increasing, got {self.window}")
@@ -405,6 +411,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
         "threads": cfg.threads,
         "workers": report.workers,
         "dggev": report.dggev,
+        "erf": ERF,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -10,7 +10,6 @@ feed the downstream density estimators.
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,6 +17,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .specfun import SCIPY_DIR
 
 __all__ = [
     "HankelPencil",
@@ -208,14 +209,6 @@ def _load_openblas(libs: Path):
     return None
 
 
-def _find_openblas():
-    """_load_openblas of scipy's wheel directory, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        return None
-    return _load_openblas(Path(spec.origin).parent.parent / "scipy.libs")
-
-
 def _ctypes_dggev(fn):
     """dggev(a, b) -> (alphar, alphai, beta, info) through LAPACK's symbol fn.
 
@@ -270,7 +263,7 @@ def _bind_dggev(lib) -> tuple:
     return _ctypes_dggev(lib.scipy_dggev_), "ctypes"
 
 
-_openblas = _find_openblas()
+_openblas = None if SCIPY_DIR is None else _load_openblas(SCIPY_DIR.parent / "scipy.libs")
 # DGGEV names the binding real_pairs_fast calls: "ctypes" (GIL-free) or "f2py"
 _dggev, DGGEV = _bind_dggev(_openblas)
 

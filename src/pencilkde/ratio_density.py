@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
-from .specfun import hyp1f1_half_scaled, moment_recurrence, scaled_moments
+from .specfun import erf, hyp1f1_half_scaled, moment_recurrence, scaled_moments
 
 TWO_PI = 2.0 * math.pi
 _SQRT_PI = math.sqrt(math.pi)
@@ -121,7 +120,7 @@ def _density_stable(a, b, c, d):
     """
     beta = b / np.sqrt(a)
     z = beta * beta
-    core = np.exp(-c) + _SQRT_PI * beta * _special.erf(beta) * np.exp(z - c)
+    core = np.exp(-c) + _SQRT_PI * beta * erf(beta) * np.exp(z - c)
     return core / (TWO_PI * np.sqrt(d) * a)
 
 
@@ -159,11 +158,11 @@ def _erf(z):
     z = np.asarray(z)
     saturated = np.abs(z) >= _ERF_ONE
     if not saturated.any():
-        return _special.erf(z)
+        return erf(z)
     out = np.copysign(1.0, z)
     rest = ~saturated
     if rest.any():
-        out[rest] = _special.erf(z[rest])
+        out[rest] = erf(z[rest])
     return out
 
 

@@ -12,11 +12,14 @@ forms, and the recurrence weights that express L_3, L_4 through L_1, L_2.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-from scipy import special as _special
 
 # power series below this, terminating asymptotic expansion above
 SERIES_Z_MAX = 30.0
@@ -26,6 +29,34 @@ SERIES_RTOL = 1e-16
 SCALED_Z_SPLIT = 40.0
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# scipy's package directory, found without importing scipy
+_spec = importlib.util.find_spec("scipy")
+SCIPY_DIR = None if _spec is None or _spec.origin is None else Path(_spec.origin).parent
+
+
+def _load_erf() -> tuple:
+    """(erf, erfc, ERF): scipy.special's ufuncs from its extension _special_ufuncs alone.
+
+    That costs about 1 MiB, importing scipy.special about 24 MiB; a later import of
+    scipy.special reuses the module, registered under its own name. ERF is "extension",
+    or "scipy.special" where that file is missing (older scipy keeps erf in _ufuncs).
+    """
+    name, root = "scipy.special._special_ufuncs", SCIPY_DIR
+    paths = [root / "special" / f"_special_ufuncs{x}" for x in EXTENSION_SUFFIXES] if root else []
+    try:
+        if name not in sys.modules:
+            loader = ExtensionFileLoader(name, str(next(p for p in paths if p.is_file())))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+        return sys.modules[name].erf, sys.modules[name].erfc, "extension"
+    except (StopIteration, ImportError, AttributeError):
+        from scipy.special import erf, erfc
+        return erf, erfc, "scipy.special"
+
+
+erf, erfc, ERF = _load_erf()
 
 __all__ = [
     "MomentParams",
@@ -204,7 +235,7 @@ def _scaled_large_z(a, b, z):
     (-inf, 0] is O(e^-z) relative and dropped (z >= SCALED_Z_SPLIT).
     """
     root_a = np.sqrt(a)
-    j0 = _SQRT_PI / (2.0 * root_a) * _special.erfc(-b / root_a)
+    j0 = _SQRT_PI / (2.0 * root_a) * erfc(-b / root_a)
     ez = np.exp(-z)
     j1 = (b / a) * j0 + ez / (2.0 * a)
     j2 = (j0 + 2.0 * b * j1) / (2.0 * a)

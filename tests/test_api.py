@@ -1,7 +1,9 @@
-"""Every exported name resolves; a run and an estimate load neither scipy.optimize,
-scipy.linalg nor multiprocessing."""
+"""Every exported name resolves; a run and an estimate load none of scipy.special,
+scipy.optimize, scipy.linalg or multiprocessing, and fall back to scipy.special's erf."""
 
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -9,7 +11,9 @@ import sys
 from pathlib import Path
 
 import pencilkde
-from pencilkde import pencil
+from pencilkde import pencil, specfun
+from pencilkde.harness import ExperimentConfig, emit, run
+from pencilkde.multiexp import SignalModel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,16 +32,28 @@ def test_every_export_resolves():
     assert missing == []
 
 
-def test_run_does_not_import_scipy_optimize():
-    # scipy.optimize costs every process about 17 MiB and 0.2 s, scipy.linalg about 6 MiB
-    code = """
+def _python(code: str) -> list:
+    """Standard output lines of code, run by a fresh interpreter on the package's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_imports_no_scipy_special_optimize_or_linalg():
+    # scipy.special costs every process about 24 MiB, scipy.optimize about 17 MiB and
+    # 0.2 s, scipy.linalg about 6 MiB
+    lines = _python("""
 import sys, tempfile
 from pathlib import Path
 import numpy as np
 from pencilkde import cli
 from pencilkde.harness import ExperimentConfig, emit, run
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
-names = ("scipy.optimize", "scipy.linalg", "multiprocessing")
+names = ("scipy.special", "scipy.optimize", "scipy.linalg", "multiprocessing")
 loaded = lambda: [m for m in names if m in sys.modules]
 print(loaded())
 model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
@@ -52,14 +68,38 @@ with tempfile.TemporaryDirectory() as out:
     argv = ["estimate", f"--data={data}", "--window=0.3,1.1", "--points=64", f"--out={out}/e"]
     assert cli.main(argv) == 0
 print(loaded())
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+""")
     # the f2py fallback of dggev is the one user of scipy.linalg in a run
     after = "[]" if pencil.DGGEV == "ctypes" else "['scipy.linalg']"
     assert (lines[0], lines[-1]) == ("[]", after)
+
+
+def test_erf_falls_back_to_scipy_special(tmp_path):
+    # scipy's directory not found: erf from scipy.special (and dggev from f2py), same bytes
+    model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
+    cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64,
+                           tau=0.5, seed=7, threads=1)
+    emit(run(cfg), tmp_path)
+    lines = _python("""
+import hashlib, importlib.util, json, sys, tempfile
+from pathlib import Path
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+from pencilkde import specfun
+from pencilkde.harness import ExperimentConfig, emit, run
+from pencilkde.multiexp import SignalModel
+importlib.util.find_spec = find_spec
+print(specfun.ERF, "scipy.special" in sys.modules)
+model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
+cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64, tau=0.5,
+                       seed=7, threads=1)
+with tempfile.TemporaryDirectory() as out:
+    emit(run(cfg), out)
+    print(json.loads((Path(out) / "metadata.json").read_text())["erf"])
+    for name in ("densities.csv", "modes.json", "params.json"):
+        print(hashlib.sha256((Path(out) / name).read_bytes()).hexdigest())
+""")
+    want = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("densities.csv", "modes.json", "params.json")]
+    assert lines == ["scipy.special True", "scipy.special"] + want
+    assert json.loads((tmp_path / "metadata.json").read_text())["erf"] == specfun.ERF

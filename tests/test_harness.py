@@ -28,7 +28,7 @@ from pencilkde.harness import (
     sample_from_pairs,
 )
 from pencilkde.kde import empirical_density
-from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
+from pencilkde.multiexp import N_MAX, Dataset, SignalModel, generate, write_dataset_csv
 from pencilkde.pde import SingularPointError
 from pencilkde.ratio_density import EqualVarSpec, density_equal_var
 from pencilkde.pencil import DecompositionError
@@ -170,6 +170,8 @@ class TestExperimentConfig:
             {"window": (1.0, 0.5)},
             {"points": 8},
             {"points": 2**20 + 1},
+            {"N_ref": harness.MAX_N_REF + 1},
+            {"model": SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=N_MAX + 2)},
             {"tau": 0.0},
             {"seed": -1},
             {"method": "spline"},
@@ -867,6 +869,17 @@ class TestCli:
         code, out, err = run_cli(["simulate", f"--config={cfg_path}", f"--out={tmp_path}/o"])
         assert (code, out, no_decompose) == (2, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["N_ref", "n"])
+    def test_simulate_huge_size_exits_before_decomposing(self, key, tmp_path, no_decompose):
+        cfg = micro_config_dict()
+        (cfg["model"] if key == "n" else cfg)[key] = 2**40
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["simulate", f"--config={cfg_path}", f"--out={tmp_path}/o"])
+        assert (code, out, no_decompose) == (2, "", [])
+        assert err.startswith(f"error: {'model n' if key == 'n' else key} must be <= ")
+        assert err.count("\n") == 1
 
     def test_estimate_ulp_wide_window_prints_one_line(self, dataset_csv, tmp_path):
         # the bin width rounded to 0.0 and numpy warned before the error line

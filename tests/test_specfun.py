@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from pencilkde import specfun
 from pencilkde.ratio_density import _erf as erf
 from pencilkde.specfun import (
     MomentParams,
@@ -58,6 +59,23 @@ class TestErf:
         vals = erf(xs)
         assert np.all(np.abs(vals) <= 1.0)
         assert np.allclose(vals, -erf(-xs), atol=0)
+
+
+class TestScipyUfuncs:
+    """specfun's erf and erfc are scipy.special's ufuncs, loaded from their extension alone."""
+
+    def test_same_objects_as_scipy_special(self):
+        assert specfun.erf is special.erf and specfun.erfc is special.erfc
+        ufuncs = specfun.SCIPY_DIR / "special"
+        found = any(ufuncs.glob("_special_ufuncs.*"))
+        assert specfun.ERF == ("extension" if found else "scipy.special")
+
+    def test_bit_equal_over_edges(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5.9216, -5.9216, 6.0, -6.0, 1e-300,
+                 -1e-300, 5e-324, 26.0, -26.0, 27.3, 1e300]
+        z = np.concatenate([edges, np.linspace(-30.0, 30.0, 6001)])
+        for ours, theirs in ((specfun.erf, special.erf), (specfun.erfc, special.erfc)):
+            assert ours(z).tobytes() == theirs(z).tobytes()
 
 
 class TestHyp1f1Half:
