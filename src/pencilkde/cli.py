@@ -34,7 +34,14 @@ from .harness import (
     run,
     sample_from_pairs,
 )
-from .kde import DensityGrid, FitNonConvergenceError, _bin_grid, extract_modes
+from .kde import (
+    MAX_POINTS,
+    DensityGrid,
+    FitNonConvergenceError,
+    _bin_grid,
+    _check_tau,
+    extract_modes,
+)
 from .multiexp import read_dataset_csv, read_dataset_json
 from .pde import SingularPointError, _residual_row, singular_mask
 from .pencil import DecompositionError
@@ -84,8 +91,8 @@ def _spec_grid(args) -> tuple:
     spec = EqualVarSpec(nu_v=args.nu_v, nu_w=args.nu_w, rho=args.rho, t=args.t)
     if not args.xmin < args.xmax:
         raise ValueError(f"xmin must be < xmax, got {args.xmin}, {args.xmax}")
-    if args.points < 2:
-        raise ValueError(f"points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ValueError(f"points must be in [2, {MAX_POINTS}], got {args.points}")
     x = np.linspace(args.xmin, args.xmax, args.points)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"the grid from {args.xmin} to {args.xmax} is not finite")
@@ -142,9 +149,10 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    # a bad window or point count fails before the dataset is read and decomposed
+    # a bad window, point count or tau fails before the dataset is read and decomposed
     window = _parse_window(args.window)
     _bin_grid(window, args.points)
+    _check_tau(args.tau)
     path = Path(args.data)
     if not path.exists():
         raise ValueError(f"dataset not found: {path}")
@@ -174,6 +182,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_modes(args) -> int:
+    _check_tau(args.tau)
     path = Path(args.density)
     if not path.exists():
         raise ValueError(f"density CSV not found: {path}")

@@ -29,6 +29,7 @@ from .kde import (
     EigenSample,
     FitResult,
     Mode,
+    _check_tau,
     bandwidth_t_star_details,
     count_outside,
     empirical_density,
@@ -41,7 +42,7 @@ from .kde import (
 )
 from .multiexp import N_MAX, SignalModel, generate, select_n
 from .pencil import real_pairs_fast
-from .specfun import ERF
+from .specfun import ERF, scipy_version
 
 METHODS = ("gaussian", "proposed", "both")
 MAX_N_REF = 10**6  # far above the paper's 10,000 records
@@ -136,8 +137,7 @@ class ExperimentConfig:
         object.__setattr__(self, "window", (float(lo), float(hi)))
         if not 16 <= self.points <= MAX_POINTS:
             raise ValueError(f"points must be in [16, {MAX_POINTS}], got {self.points}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        _check_tau(self.tau)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.method not in METHODS:
@@ -415,7 +415,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": scipy_version(),
             "pencilkde": _pkg_version,
         },
         "timings": report.timings,

@@ -12,6 +12,7 @@ package's own projected Levenberg-Marquardt search.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -195,6 +196,8 @@ def gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> Dens
     Accumulates one replication at a time, weight 1/(R p_r) applied to the
     replication subtotal, so merging two samples under power-of-two R-weights
     reproduces the weighted average of the separate estimates bit for bit.
+    Each chunk's exponents -(x - mu)^2 / (2t) are written into one buffer as
+    (x - mu)^2 / (-2t), the same bits, as IEEE division is sign-symmetric.
     """
     if t <= 0.0:
         raise ValueError(f"bandwidth t must be positive, got {t}")
@@ -202,13 +205,18 @@ def gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> Dens
     y = np.zeros(grid_x.size)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
     R = sample.R
+    buf = np.empty((min(CHUNK, max((p.size for p in sample.ratio), default=0)), grid_x.size))
     for pts in sample.ratio:
         if pts.size == 0:
             continue
         acc = np.zeros(grid_x.size)
         for k in range(0, pts.size, CHUNK):
             mu = pts[k : k + CHUNK, None]
-            acc += np.exp(-((grid_x[None, :] - mu) ** 2) / (2.0 * t)).sum(axis=0)
+            u = buf[: mu.shape[0]]
+            np.subtract(grid_x, mu, out=u)
+            np.square(u, out=u)
+            np.divide(u, -2.0 * t, out=u)
+            acc += np.exp(u, out=u).sum(axis=0)
         y += (norm / (R * pts.size)) * acc
     return DensityGrid(x=grid_x, y=y)
 
@@ -354,16 +362,25 @@ def _levenberg_marquardt(objective, x, lower, upper):
             xj[j] = x[j] + h if x[j] + h <= upper[j] else x[j] - h
             res_j = objective.residuals(xj)[1]
             nfev += 1
-            jac[:, j] = 0.0 if res_j is None else (res_j - res) / (xj[j] - x[j])
+            if res_j is None:
+                jac[:, j] = 0.0
+            else:
+                # (res_j - res) / h, with res_j as the scratch: no temporaries
+                np.subtract(res_j, res, out=res_j)
+                np.divide(res_j, xj[j] - x[j], out=jac[:, j])
         grad = jac.T @ res
         jtj = jac.T @ jac
         scale = jtj.diagonal().copy()
         # held: a coordinate the Jacobian does not see, or on a bound the descent points past
         free = (scale > 0.0) & ~((x <= lower) & (grad > 0.0)) & ~((x >= upper) & (grad < 0.0))
-        block = np.ix_(free, free)
+        # with no coordinate held, the same system without copying out its free block
+        block = None if free.all() else np.ix_(free, free)
         while True:
-            step = np.zeros(x.size)
-            step[free] = np.linalg.solve(jtj[block] + np.diag(lam * scale[free]), -grad[free])
+            if block is None:
+                step = np.linalg.solve(jtj + np.diag(lam * scale), -grad)
+            else:
+                step = np.zeros(x.size)
+                step[free] = np.linalg.solve(jtj[block] + np.diag(lam * scale[free]), -grad[free])
             x_new = np.clip(x + step, lower, upper)
             if lam > _LAMBDA_MAX or np.array_equal(x_new, x):
                 return x, fun, nfev, True
@@ -457,12 +474,20 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     return fit
 
 
+@functools.cache
+def _leggauss():
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per process, read-only."""
+    u, w = np.polynomial.legendre.leggauss(GL_NODES)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _gl_nodes(window):
     lo, hi = float(window[0]), float(window[1])
     pad = WINDOW_EXTEND * 0.5 * (hi - lo)
     lo -= pad
     hi += pad
-    u, w = np.polynomial.legendre.leggauss(GL_NODES)
+    u, w = _leggauss()
     nodes = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * w
     return nodes, weights
@@ -569,7 +594,9 @@ def proposed_estimate(
     Each component is evaluated in place only on its support
     (_kernel_supports), off which its value is provably 0.0, and added into
     its chunk's sum in component order, the order of the dense chunked
-    column sums, so skipping the exact zeros leaves the bits unchanged.
+    column sums, so skipping the exact zeros leaves the bits unchanged. The
+    supports and the Cauchy exponentials are elementwise in the components,
+    so they are computed once for all of them.
     """
     if t_star <= 0.0:
         raise ValueError(f"bandwidth t* must be positive, got {t_star}")
@@ -578,44 +605,56 @@ def proposed_estimate(
     grid_x = np.asarray(grid_x, dtype=float)
     kernel = _RatioKernel(grid_x)
     kernel.prepare(t_star, rho)
+    pooled, _ = sample.pooled()
+    mus = pooled.tolist()
+    e2 = kernel.cauchy_exp(pooled).tolist()
+    spans = _kernel_supports(pooled, grid_x, t_star, rho)
     y = np.zeros(grid_x.size)
     chunk_sum = np.empty(grid_x.size)
     R = sample.R
+    start = 0
     # same per-replication accumulation as gaussian_estimate, for the same
     # bit-for-bit mixture-merge property
     for pts in sample.ratio:
         if pts.size == 0:
             continue
+        end = start + pts.size
         acc = np.zeros(grid_x.size)
-        for k in range(0, pts.size, CHUNK):
-            mu = pts[k : k + CHUNK]
-            e2 = kernel.cauchy_exp(mu)
+        for k in range(start, end, CHUNK):
             chunk_sum.fill(0.0)
-            spans = _kernel_supports(mu, grid_x, t_star, rho)
-            for m, e, slices in zip(mu.tolist(), e2.tolist(), spans):
+            stop = min(k + CHUNK, end)
+            for m, e, slices in zip(mus[k:stop], e2[k:stop], spans[k:stop]):
                 for a, b in slices:
                     chunk_sum[a:b] += kernel.row(m, e, a, b)
             acc += chunk_sum
+        start = end
         y += acc / (R * pts.size)
     return DensityGrid(x=grid_x, y=y)
+
+
+def _check_tau(tau) -> None:
+    """ValueError unless the mode threshold tau is finite and positive."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
 
 
 def extract_modes(grid: DensityGrid, tau: float) -> list:
     """Strict interior local maxima above tau; flat tops yield their midpoint.
 
     A maximal run of equal values counts as one mode when both neighbours are
-    strictly lower and the run does not touch the grid boundary.
+    strictly lower and the run does not touch the grid boundary. The runs are
+    found with array operations, by comparing each value with the next.
     """
     x, y = grid.x, grid.y
     m = y.size
-    modes = []
-    i = 0
-    while i < m:
-        j = i
-        while j + 1 < m and y[j + 1] == y[i]:
-            j += 1
-        interior = i > 0 and j < m - 1
-        if interior and y[i - 1] < y[i] and y[j + 1] < y[i] and y[i] > tau:
-            modes.append(Mode(x=float(0.5 * (x[i] + x[j])), height=float(y[i])))
-        i = j + 1
-    return modes
+    if m < 3:
+        return []
+    # first and last index of each maximal run of equal values, then the interior runs
+    i = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    j = np.append(i[1:] - 1, m - 1)
+    interior = (i > 0) & (j < m - 1)
+    i, j = i[interior], j[interior]
+    top = y[i]
+    peak = (y[i - 1] < top) & (y[j + 1] < top) & (top > tau)
+    i, j = i[peak], j[peak]
+    return [Mode(x=a, height=b) for a, b in zip((0.5 * (x[i] + x[j])).tolist(), y[i].tolist())]

@@ -133,9 +133,13 @@ def _diffusion_at_centers(rho: float, t: float, x):
     Entry k is _coeffs_raw(1.0, x[k], rho, t, x[k]) for the diffusion
     coefficient D = P3 / (Q1 + t Q2), bit for bit, computed for all k at
     once: Horner runs across the whole array and the rho-only square of
-    1 - 2 rho x + x^2 is formed once. P3 keeps one polymul per entry, because
-    np.convolve sums through BLAS dot, whose rounding a hand-written sum does
-    not reproduce.
+    1 - 2 rho x + x^2 is formed once. P3's coefficients take one np.convolve
+    per entry, which sums through BLAS dot, whose rounding a hand-written sum
+    does not reproduce. That is polymul's own sum without its series checks:
+    polymul trims zero leading coefficients, of its factors and of the
+    product, and the cubic's leading coefficient -x + rho (then also the
+    product's, times 1.0) is zero only where x == rho, so only there is
+    polymul called.
     """
     x = np.asarray(x, dtype=float)
     pm = np.polynomial.polynomial.polymul
@@ -145,7 +149,7 @@ def _diffusion_at_centers(rho: float, t: float, x):
     # polymul trims zero leading coefficients; zero padding evaluates the same
     p3c = np.zeros((quad2.size + 2, x.size))
     for k, cubic in enumerate(np.stack(_p3_factor(1.0, x, rho), axis=1)):
-        c = pm(quad2, cubic)
+        c = np.convolve(quad2, cubic) if cubic[-1] != 0.0 else pm(quad2, cubic)
         p3c[: c.size, k] = c
     q1c, q2c = (np.array(np.broadcast_arrays(*c)) for c in _q_coeffs(1.0, x, rho))
     p3 = pv(x, p3c, tensor=False)

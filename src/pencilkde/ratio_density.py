@@ -205,43 +205,63 @@ def _h_erf_raw(x, t, nu_v, nu_w, rho):
 class _RatioKernel:
     """_h_erf_raw(x, t, 1.0, mu, rho) evaluated in place on a fixed increasing grid x.
 
-    prepare(t, rho) fills the per-grid factors once; row(mu, e2, a, b) then
-    writes h for one centre mu on the slice x[a:b] into a preallocated
-    buffer, with e2 = cauchy_exp(mu). Per point it does the IEEE operations
-    of _h_erf_raw, with four shortcuts that keep every bit: the
-    multiplications by nu_v = 1.0 are left out; the exponent's negation moves
-    into the per-grid divisor, d^2 / ((-2t) q), as IEEE division is
-    sign-symmetric; the Cauchy term is left out when e2 is 0.0, since it is
-    then +0.0 (q >= 1 - rho^2 > 0) and term1 is never -0.0; and erf is left
-    out where _saturated_sign proves it is sign(lin) on the whole slice.
+    prepare(t, rho) fills the per-grid factors; row(mu, e2, a, b) then writes
+    h for one centre mu on the slice x[a:b] into a preallocated buffer, with
+    e2 = cauchy_exp(mu). Per point it does the IEEE operations of _h_erf_raw,
+    with four shortcuts that keep every bit: the multiplications by
+    nu_v = 1.0 are left out; the exponent's negation moves into the per-grid
+    divisor, d^2 / ((-2t) q), as IEEE division is sign-symmetric; the Cauchy
+    term is left out when e2 is 0.0, since it is then +0.0
+    (q >= 1 - rho^2 > 0) and term1 is never -0.0; and erf is left out where
+    _saturated_sign proves it is sign(lin) on the whole slice.
+
+    Each factor is computed once per value of what it depends on, and kept
+    until that changes: q, 1 - rho x, x - rho and the Cauchy factor
+    sqrt(1 - rho^2) / (pi q) until rho changes; -2 t q, sqrt(2 pi t q) and
+    sqrt(2 t (1 - rho^2) q) until t or rho changes; lin and lin / q until
+    mu, rho or the slice changes. The Cauchy factor and sqrt(2 t (1 - rho^2) q)
+    are built on first use. A kept factor has the bits that recomputing it
+    would give, since it is the same IEEE operation on equal operands. rho
+    and mu are compared with ==, so +0.0 reuses the factors of -0.0; those
+    differ at most in the sign of a zero x - rho or mu (x - rho), which lin
+    adds to 1 - rho x (never -0.0), so h keeps its bits. t > 0 in every
+    caller.
     """
 
     def __init__(self, x):
         self.x = x
         self._x_sq = x * x
         n = x.size
-        # per grid: q, 1 - rho x, x - rho, -2 t q, sqrt(2 pi t q); per row: lin, h, scratch
+        # per grid: q, 1 - rho x, x - rho, -2 t q, sqrt(2 pi t q)
         self._q, self._omrx, self._xmr, self._m2tq, self._norm = (np.empty(n) for _ in range(5))
-        self._lin, self._h, self._tmp = (np.empty(n) for _ in range(3))
+        # per row: lin, lin / q, h, scratch
+        self._lin, self._lin_q, self._h, self._tmp = (np.empty(n) for _ in range(4))
         # sqrt(c q) and sqrt(1 - rho^2) / (pi q), filled on first use after prepare
         self._root, self._cauchy = np.empty(n), np.empty(n)
+        # the values the kept factors were computed for; None before the first
+        self.t = self.rho = self._lin_key = None
 
     def prepare(self, t, rho):
-        x, q = self.x, self._q
-        # q = x^2 - 2 rho x + 1
-        np.multiply(x, 2.0 * rho, out=q)
-        np.subtract(self._x_sq, q, out=q)
-        q += 1.0
-        np.multiply(x, rho, out=self._omrx)
-        np.subtract(1.0, self._omrx, out=self._omrx)
-        np.subtract(x, rho, out=self._xmr)
-        np.multiply(q, -2.0 * t, out=self._m2tq)
-        np.multiply(q, TWO_PI * t, out=self._norm)
-        np.sqrt(self._norm, out=self._norm)
-        self.rho = rho
-        self.one_m_r2 = 1.0 - rho * rho
-        self.c = 2.0 * t * self.one_m_r2
-        self._have_root = self._have_cauchy = False
+        if rho != self.rho:
+            x, q = self.x, self._q
+            # q = x^2 - 2 rho x + 1
+            np.multiply(x, 2.0 * rho, out=q)
+            np.subtract(self._x_sq, q, out=q)
+            q += 1.0
+            np.multiply(x, rho, out=self._omrx)
+            np.subtract(1.0, self._omrx, out=self._omrx)
+            np.subtract(x, rho, out=self._xmr)
+            self.rho = rho
+            self.one_m_r2 = 1.0 - rho * rho
+            self._have_cauchy = False
+            self.t = self._lin_key = None
+        if t != self.t:
+            np.multiply(self._q, -2.0 * t, out=self._m2tq)
+            np.multiply(self._q, TWO_PI * t, out=self._norm)
+            np.sqrt(self._norm, out=self._norm)
+            self.t = t
+            self.c = 2.0 * t * self.one_m_r2
+            self._have_root = False
 
     def cauchy_exp(self, mu):
         """The Cauchy term's exp(-(1 - 2 mu rho + mu^2) / (2 t (1 - rho^2))).
@@ -290,18 +310,21 @@ class _RatioKernel:
 
     def row(self, mu, e2, a, b):
         """h on x[a:b] for centre mu, a view of a buffer that the next row overwrites."""
-        q, lin, h, tmp = self._q[a:b], self._lin[a:b], self._h[a:b], self._tmp[a:b]
+        q, lin, lin_q = self._q[a:b], self._lin[a:b], self._lin_q[a:b]
+        h, tmp = self._h[a:b], self._tmp[a:b]
         # gauss = exp(-(mu - x)^2 / (2 t q)) / sqrt(2 pi t q), times lin / q
         np.subtract(mu, self.x[a:b], out=h)
         np.multiply(h, h, out=h)
         np.divide(h, self._m2tq[a:b], out=h)
         np.exp(h, out=h)
         np.divide(h, self._norm[a:b], out=h)
-        # lin = (1 - rho x) + mu (x - rho)
-        np.multiply(self._xmr[a:b], mu, out=lin)
-        lin += self._omrx[a:b]
-        np.divide(lin, q, out=tmp)
-        h *= tmp
+        if (mu, a, b) != self._lin_key:
+            # lin = (1 - rho x) + mu (x - rho)
+            np.multiply(self._xmr[a:b], mu, out=lin)
+            lin += self._omrx[a:b]
+            np.divide(lin, q, out=lin_q)
+            self._lin_key = (mu, a, b)
+        h *= lin_q
         # term1 = gauss (lin / q) erf(lin / sqrt(2 t (1 - rho^2) q))
         sign = self._saturated_sign(mu, a, b)
         if sign < 0.0:

@@ -58,6 +58,21 @@ def _load_erf() -> tuple:
 
 erf, erfc, ERF = _load_erf()
 
+
+def scipy_version() -> str:
+    """scipy.__version__, from running scipy/version.py alone, where scipy takes it from.
+
+    Importing the bare scipy package for it would cost about 1.4 MiB.
+    """
+    path = None if SCIPY_DIR is None else SCIPY_DIR / "version.py"
+    if path is None or not path.is_file():
+        return __import__("scipy").__version__
+    spec = importlib.util.spec_from_file_location("_scipy_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 __all__ = [
     "MomentParams",
     "hyp1f1_half",

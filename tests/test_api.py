@@ -1,5 +1,6 @@
-"""Every exported name resolves; a run and an estimate load none of scipy.special,
-scipy.optimize, scipy.linalg or multiprocessing, and fall back to scipy.special's erf."""
+"""Every exported name resolves; a run, its emit and an estimate load none of scipy,
+scipy.special, scipy.optimize, scipy.linalg or multiprocessing, and fall back to
+scipy.special's erf."""
 
 import hashlib
 import importlib
@@ -9,6 +10,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import scipy
 
 import pencilkde
 from pencilkde import pencil, specfun
@@ -45,15 +48,15 @@ def _python(code: str) -> list:
 
 def test_run_imports_no_scipy_special_optimize_or_linalg():
     # scipy.special costs every process about 24 MiB, scipy.optimize about 17 MiB and
-    # 0.2 s, scipy.linalg about 6 MiB
+    # 0.2 s, scipy.linalg about 6 MiB, the bare scipy package about 1.4 MiB
     lines = _python("""
-import sys, tempfile
+import json, sys, tempfile
 from pathlib import Path
 import numpy as np
 from pencilkde import cli
 from pencilkde.harness import ExperimentConfig, emit, run
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
-names = ("scipy.special", "scipy.optimize", "scipy.linalg", "multiprocessing")
+names = ("scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "multiprocessing")
 loaded = lambda: [m for m in names if m in sys.modules]
 print(loaded())
 model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
@@ -63,6 +66,7 @@ with tempfile.TemporaryDirectory() as out:
     report = run(cfg)
     assert report.fit.converged
     emit(report, out)
+    print(json.loads((Path(out) / "metadata.json").read_text())["versions"]["scipy"])
     data = Path(out) / "data.csv"
     write_dataset_csv(data, Dataset(data=np.stack([generate(model, 7, r) for r in range(20)])))
     argv = ["estimate", f"--data={data}", "--window=0.3,1.1", "--points=64", f"--out={out}/e"]
@@ -70,8 +74,8 @@ with tempfile.TemporaryDirectory() as out:
 print(loaded())
 """)
     # the f2py fallback of dggev is the one user of scipy.linalg in a run
-    after = "[]" if pencil.DGGEV == "ctypes" else "['scipy.linalg']"
-    assert (lines[0], lines[-1]) == ("[]", after)
+    after = "[]" if pencil.DGGEV == "ctypes" else "['scipy', 'scipy.linalg']"
+    assert (lines[0], lines[1], lines[-1]) == ("[]", scipy.__version__, after)
 
 
 def test_erf_falls_back_to_scipy_special(tmp_path):

@@ -176,6 +176,8 @@ class TestExperimentConfig:
             {"seed": -1},
             {"method": "spline"},
             {"threads": 0},
+            {"tau": math.nan},
+            {"tau": math.inf},
         ],
     )
     def test_validation(self, overrides):
@@ -854,7 +856,9 @@ class TestCli:
         monkeypatch.setattr(harness, "decompose_records", boom)
         return calls
 
-    @pytest.mark.parametrize("option", ["--window=oops", "--points=1"])
+    @pytest.mark.parametrize(
+        "option", ["--window=oops", "--points=1", "--tau=nan", "--tau=inf", "--tau=0"]
+    )
     def test_estimate_checks_options_before_decomposing(
         self, option, dataset_csv, tmp_path, no_decompose
     ):
@@ -943,6 +947,25 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0", "-1"])
+    def test_modes_rejects_tau(self, tau, tmp_path):
+        # modes --tau nan printed [] and exited 0: no value exceeds nan
+        path = tmp_path / "density.csv"
+        path.write_text("x,density\n0,0\n1,3\n2,0\n")
+        code, out, err = run_cli(["modes", f"--density={path}", f"--tau={tau}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tau must be finite and positive") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["density", "pde-check"])
+    def test_points_above_max_points(self, command):
+        # the grid is refused before np.linspace allocates it
+        code, out, err = run_cli(
+            [command, "--t=1", "--nu-w=0.9", "--xmin=0.7", "--xmax=1.1",
+             f"--points={kde.MAX_POINTS + 1}"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: points must be in [2, ") and err.count("\n") == 1
 
     def test_numerical_errors_exit_three(self, capsys, monkeypatch):
         def boom(args):

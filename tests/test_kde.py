@@ -292,6 +292,23 @@ class TestGaussianEstimate:
         with pytest.raises(ValueError):
             gaussian_estimate(single_replication([0.5]), np.array([0.0]), 0.0)
 
+    @pytest.mark.parametrize("sizes", [[7, 0, 3, 12], [kde.CHUNK + 5, 1], []])
+    def test_matches_temporaries(self, rng, sizes):
+        # reference: the chunked expression with temporaries that the buffer replaced
+        ratio = [rng.normal(0.9, 0.05, n) for n in sizes]
+        sample = EigenSample(s=ratio, t=ratio, ratio=ratio)
+        grid = np.linspace(0.7, 1.1, 301)
+        t = 2e-4
+        want = np.zeros(grid.size)
+        for pts in ratio:
+            if pts.size:
+                acc = np.zeros(grid.size)
+                for k in range(0, pts.size, kde.CHUNK):
+                    mu = pts[k : k + kde.CHUNK, None]
+                    acc += np.exp(-((grid[None, :] - mu) ** 2) / (2.0 * t)).sum(axis=0)
+                want += (1.0 / math.sqrt(2.0 * math.pi * t) / (len(ratio) * pts.size)) * acc
+        assert gaussian_estimate(sample, grid, t).y.tobytes() == want.tobytes()
+
     def test_mixture_merge_is_exact(self):
         grid = np.linspace(0.0, 2.0, 257)
         a = single_replication([0.8, 0.85, 0.9])
@@ -912,3 +929,56 @@ class TestExtractModes:
 
     def test_short_grid_has_no_interior_maxima(self):
         assert extract_modes(self.grid([1.0, 2.0]), 0.5) == []
+
+    @staticmethod
+    def loop_modes(grid, tau):
+        """Reference: the scan over runs of equal values that extract_modes replaced."""
+        x, y = grid.x, grid.y
+        m = y.size
+        modes = []
+        i = 0
+        while i < m:
+            j = i
+            while j + 1 < m and y[j + 1] == y[i]:
+                j += 1
+            interior = i > 0 and j < m - 1
+            if interior and y[i - 1] < y[i] and y[j + 1] < y[i] and y[i] > tau:
+                modes.append(kde.Mode(x=float(0.5 * (x[i] + x[j])), height=float(y[i])))
+            i = j + 1
+        return modes
+
+    def assert_loop_modes(self, grid, tau):
+        got = [(m.x.hex(), m.height.hex()) for m in extract_modes(grid, tau)]
+        want = [(m.x.hex(), m.height.hex()) for m in self.loop_modes(grid, tau)]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "y, tau",
+        [
+            ([], 0.5),
+            ([3.0], 0.5),
+            ([1.0, 3.0], 0.5),
+            ([3.0, 3.0], 0.5),
+            # plateaus that touch an end are no modes, however high
+            ([5.0, 5.0, 5.0, 1.0, 2.0, 0.0], 0.5),
+            ([0.0, 2.0, 1.0, 5.0, 5.0], 0.5),
+            ([5.0, 5.0, 5.0], 0.5),
+            # interior plateaus, of two and of several points, next to each other
+            ([0.0, 2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0], 0.5),
+            ([0.0, 2.0, 2.0, 3.0, 3.0, 1.0], 0.5),
+            # tau equal to a peak: only strictly higher peaks count
+            ([0.0, 2.0, 1.0, 3.0, 0.0, 2.0, 2.0, 0.0], 2.0),
+            ([0.0, 2.0, 0.0], 2.0),
+            ([0.0, -0.0, 1.0, 0.0, -0.0], 0.5),
+        ],
+    )
+    def test_matches_loop(self, y, tau):
+        self.assert_loop_modes(self.grid(y), tau)
+
+    def test_matches_loop_on_random_plateaus(self, rng):
+        for size in range(3, 40):
+            for _ in range(20):
+                y = rng.integers(0, 4, size).astype(float)
+                x = np.cumsum(rng.uniform(0.01, 1.0, size))
+                tau = float(rng.choice([0.0, 1.0, 2.0, 2.5]))
+                self.assert_loop_modes(DensityGrid(x=x, y=y), tau)

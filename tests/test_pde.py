@@ -7,6 +7,8 @@ import pytest
 
 from pencilkde.pde import (
     SingularPointError,
+    _coeffs_raw,
+    _diffusion_at_centers,
     _poly_coeff_arrays,
     _poly_terms,
     cubic_real_roots,
@@ -270,6 +272,29 @@ class TestDiffusionDerivative:
             fd = (v[0] - 8 * v[1] + 8 * v[2] - v[3]) / (12 * eps)
             worst = max(worst, abs(dxa - fd) / max(abs(dxa), 1.0))
         assert worst <= 1e-6
+
+
+class TestDiffusionAtCenters:
+    """_diffusion_at_centers is _coeffs_raw at each centre, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "rho", [0.0, 0.3, -0.7, 0.99, math.tanh(11.8), -math.tanh(11.8), 1.0 - 1e-10]
+    )
+    @pytest.mark.parametrize("t", [1e-3, 0.0121, 0.0625])
+    def test_matches_coeffs_raw(self, rho, t):
+        rng = np.random.default_rng(7)
+        # pencil ratios near the decay factors, a wide spread, and the centres
+        # x == rho, where the cubic's leading coefficient is zero, and x = 0, +-1
+        x = np.concatenate(
+            [rng.uniform(0.5, 1.2, 200), rng.uniform(-5.0, 5.0, 50), [rho, 0.0, -1.0, 1.0]]
+        )
+        d, den, scale = _diffusion_at_centers(rho, t, x)
+        for k, xk in enumerate(x.tolist()):
+            want = _coeffs_raw(1.0, xk, rho, t, xk)
+            got = (d[k], den[k], scale[k])
+            assert [np.float64(v).tobytes() for v in got] == [
+                np.float64(want[i]).tobytes() for i in (0, 3, 4)
+            ], (xk, got, want)
 
 
 class TestResidual:

@@ -13,6 +13,8 @@ from scipy import integrate, special
 from pencilkde.ratio_density import (
     _abc_equal_var,
     _erf,
+    _h_erf_raw,
+    _RatioKernel,
     EqualVarSpec,
     GeneralGaussianSpec,
     abc_general,
@@ -226,6 +228,52 @@ class TestSaturatedErf:
         assert (math.isnan(got) and math.isnan(want)) or (
             got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
         )
+
+
+class TestRatioKernelKeptFactors:
+    """One _RatioKernel driven through prepare and row calls, its kept factors
+    reused wherever t, rho, mu or the slice repeat, gives every row the bits of
+    a fresh kernel and of _h_erf_raw."""
+
+    X = np.linspace(0.5, 1.5, 301)
+    # small t saturates erf and zeroes the Cauchy term; +-0.0 share their factors
+    TS = [1e-3, 2e-3, 1e-6, 0.05]
+    RHOS = [0.3, -0.5, 0.0, -0.0, 0.99, math.tanh(11.8)]
+    MUS = [0.9, 1.1, 0.0, -0.0, 0.7, 20.0]
+    SLICES = [(0, 301), (10, 200), (150, 301), (0, 1), (300, 301)]
+
+    def check(self, kernel, t, rho, mu, a, b):
+        got = kernel.row(mu, kernel.cauchy_exp(mu), a, b).tobytes()
+        fresh = _RatioKernel(self.X)
+        fresh.prepare(t, rho)
+        assert got == fresh.row(mu, fresh.cauchy_exp(mu), a, b).tobytes(), (t, rho, mu, a, b)
+        assert got == _h_erf_raw(self.X[a:b], t, 1.0, mu, rho).tobytes(), (t, rho, mu, a, b)
+
+    def test_jacobian_columns(self):
+        # as in the fit: a base point, then each coordinate moved off it alone
+        kernel = _RatioKernel(self.X)
+        for t, mu, rho in [(1e-3, 0.9, 0.3), (2e-3, 0.95, 0.99), (1e-6, 1.1, -0.5)]:
+            for dt, dmu, drho in [(0, 0, 0), (1e-9, 0, 0), (0, 1e-9, 0), (0, 0, 1e-9), (0, 0, 0)]:
+                kernel.prepare(t + dt, rho + drho)
+                self.check(kernel, t + dt, rho + drho, mu + dmu, 0, self.X.size)
+
+    def test_random_sequence(self, rng):
+        kernel = _RatioKernel(self.X)
+        t, rho, mu, (a, b) = self.TS[0], self.RHOS[0], self.MUS[0], self.SLICES[0]
+        kernel.prepare(t, rho)
+        for _ in range(600):
+            what = int(rng.integers(0, 5))
+            if what == 0:
+                t = self.TS[rng.integers(len(self.TS))]
+            elif what == 1:
+                rho = self.RHOS[rng.integers(len(self.RHOS))]
+            elif what == 2:
+                mu = self.MUS[rng.integers(len(self.MUS))]
+            elif what == 3:
+                a, b = self.SLICES[rng.integers(len(self.SLICES))]
+            if what in (0, 1, 4):
+                kernel.prepare(t, rho)
+            self.check(kernel, t, rho, mu, a, b)
 
 
 def reduced(spec):
