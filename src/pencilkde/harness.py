@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -211,7 +210,7 @@ def decompose_records(record, n: int, threads: int) -> list:
     """[real_pairs_fast(record(i)) for i in range(n)]: each record's RealPairs, in order.
 
     The records run on decompose_workers(threads, n) threads, on a thread
-    pool when there are several, with scipy's OpenBLAS pinned to one thread
+    pool when there are several, with the bound OpenBLAS pinned to one thread
     meanwhile: each record's QZ runs alone on one thread, whichever it is.
     """
 
@@ -223,6 +222,9 @@ def decompose_records(record, n: int, threads: int) -> list:
     with pencil.one_blas_thread():
         if workers == 1:
             return [one(i) for i in range(n)]
+        # imported here: a serial run has no use for concurrent.futures (about 1 MiB)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(n)))
 
@@ -250,29 +252,32 @@ def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, meth
     """Fit, bandwidths, estimates, and modes from a decomposed sample.
 
     Returns a dict with keys empirical, gaussian, proposed, fit, rho_hat,
-    t_star, t_plus, modes_gaussian, modes_proposed, skipped_components.
+    t_star, t_plus, modes_gaussian, modes_proposed, skipped_components. The
+    bound OpenBLAS runs on one thread meanwhile, so the fit's and the
+    correlation's matrix products have the same bits on any machine.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    out: dict = dict.fromkeys(("gaussian", "proposed", "fit", "rho_hat", "t_star", "t_plus",
-                               "modes_gaussian", "modes_proposed"))
-    out["skipped_components"] = 0
-    h_emp = empirical_density(sample, window, points)
-    out["empirical"] = h_emp
-    grid_x = h_emp.x
-    if method in ("gaussian", "both"):
-        out["t_plus"] = gaussian_bandwidth(sample)
-        out["gaussian"] = gaussian_estimate(sample, grid_x, out["t_plus"])
-        out["modes_gaussian"] = extract_modes(out["gaussian"], tau)
-    if method in ("proposed", "both"):
-        out["fit"] = fit_reference(h_emp)
-        out["rho_hat"] = pooled_correlation(sample)
-        t_star, skipped = bandwidth_t_star_details(sample, out["fit"], out["rho_hat"], window)
-        out["t_star"] = t_star
-        out["skipped_components"] = skipped
-        out["proposed"] = proposed_estimate(sample, grid_x, t_star, out["rho_hat"])
-        out["modes_proposed"] = extract_modes(out["proposed"], tau)
-    return out
+    with pencil.one_blas_thread():
+        out: dict = dict.fromkeys(("gaussian", "proposed", "fit", "rho_hat", "t_star", "t_plus",
+                                   "modes_gaussian", "modes_proposed"))
+        out["skipped_components"] = 0
+        h_emp = empirical_density(sample, window, points)
+        out["empirical"] = h_emp
+        grid_x = h_emp.x
+        if method in ("gaussian", "both"):
+            out["t_plus"] = gaussian_bandwidth(sample)
+            out["gaussian"] = gaussian_estimate(sample, grid_x, out["t_plus"])
+            out["modes_gaussian"] = extract_modes(out["gaussian"], tau)
+        if method in ("proposed", "both"):
+            out["fit"] = fit_reference(h_emp)
+            out["rho_hat"] = pooled_correlation(sample)
+            t_star, skipped = bandwidth_t_star_details(sample, out["fit"], out["rho_hat"], window)
+            out["t_star"] = t_star
+            out["skipped_components"] = skipped
+            out["proposed"] = proposed_estimate(sample, grid_x, t_star, out["rho_hat"])
+            out["modes_proposed"] = extract_modes(out["proposed"], tau)
+        return out
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:

@@ -186,36 +186,63 @@ def real_pairs(pairs: SchurPairs) -> RealPairs:
     return _keep_real(pairs.s, pairs.t, pairs.is_real)
 
 
-# LAPACK dggev, bound once per process. scipy's wheels vendor an OpenBLAS whose
-# LAPACK symbols carry a scipy_ prefix; called through ctypes it releases the
-# GIL, so records decompose in parallel on threads, and no process has to
-# import scipy.linalg (about 6 MiB) for it. A scipy built on another LAPACK
-# falls back to f2py's wrapper, which holds the GIL.
+# LAPACK dggev, bound once per process, from an OpenBLAS numpy or scipy ships. numpy's
+# wheels (numpy >= 2) link an ILP64 OpenBLAS that exports it as scipy_dggev_64_, and
+# numpy has mapped that library already; scipy's wheels vendor an LP64 one, the only
+# GIL-free dggev beside older numpy. Called through ctypes, dggev releases the GIL,
+# so records decompose in parallel on threads, and no process has to import
+# scipy.linalg (about 6 MiB) for it. Without either library, f2py's wrapper, which
+# holds the GIL, is the fallback.
+
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+# (directory, file pattern, symbol suffix, LAPACK's integer) of each library, in the
+# order tried: the first that exports dggev and the thread count calls is bound
+_OPENBLAS_LIBS = (
+    (_NUMPY_LIBS, "libscipy_openblas64_*.so*", "64_", np.int64),
+    (None if SCIPY_DIR is None else SCIPY_DIR.parent / "scipy.libs",
+     "libscipy_openblas*.so*", "", np.intc),
+)
 
 
-def _load_openblas(libs: Path):
-    """scipy's vendored OpenBLAS from the directory libs; None if none exports dggev."""
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        names = ("scipy_dggev_", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads")
-        if all(hasattr(lib, name) for name in names):
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+class _OpenBLAS(NamedTuple):
+    """The dggev, thread count calls and LAPACK integer type of one OpenBLAS library."""
+
+    path: Path
+    dggev: object
+    get_num_threads: object
+    set_num_threads: object
+    integer: type
+
+
+def _load_openblas(candidates):
+    """The first library of candidates whose symbols, suffixed, export dggev; or None.
+
+    candidates are (directory, file pattern, symbol suffix, LAPACK's integer)
+    tuples, as _OPENBLAS_LIBS; a directory of None has no library.
+    """
+    for libs, pattern, suffix, integer in candidates:
+        for path in sorted(libs.glob(pattern)) if libs is not None else ():
+            try:
+                lib = ctypes.CDLL(str(path))
+                fns = [getattr(lib, f"scipy_{name}{suffix}") for name in
+                       ("dggev_", "openblas_get_num_threads", "openblas_set_num_threads")]
+            except (OSError, AttributeError):
+                continue
+            get, set_ = fns[1:]
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return lib
+            return _OpenBLAS(path, *fns, integer)
     return None
 
 
-def _ctypes_dggev(fn):
+def _ctypes_dggev(fn, integer: type):
     """dggev(a, b) -> (alphar, alphai, beta, info) through LAPACK's symbol fn.
 
     a and b are C-ordered, symmetric p x p float64 arrays, so their C order is
-    their Fortran order; dggev overwrites them. JOBVL = JOBVR = 'N' and lwork
-    = 8p, the minimal workspace f2py's wrapper passes by default: the bits
-    depend on it. Each thread keeps its own workspace.
+    their Fortran order; dggev overwrites them. LAPACK's integers are of the
+    numpy type integer: int64 in an ILP64 library, C int otherwise. JOBVL =
+    JOBVR = 'N' and lwork = 8p, the minimal workspace f2py's wrapper passes by
+    default: the bits depend on it. Each thread keeps its own workspace.
     """
     ptr = ctypes.c_void_p
     # 17 Fortran arguments by reference, then the two hidden string lengths
@@ -232,7 +259,7 @@ def _ctypes_dggev(fn):
         if getattr(local, "p", None) != p:
             # this thread's n, lwork, ldvl = ldvr and info, then work (8p) and the
             # never-referenced vl = vr; local keeps them, so their addresses hold
-            ints = np.array([p, 8 * p, 1, 0], dtype=np.intc)
+            ints = np.array([p, 8 * p, 1, 0], dtype=integer)
             work = np.empty(9 * p)
             n, lwork, ldv, info = (ints.ctypes.data + k * ints.itemsize for k in range(4))
             w = work.ctypes.data
@@ -256,35 +283,37 @@ def _f2py_dggev(a, b):
     return ar, ai, beta, info
 
 
-def _bind_dggev(lib) -> tuple:
-    """(dggev, binding name): lib's dggev through ctypes, or f2py's without lib."""
-    if lib is None:
+def _bind_dggev(blas: _OpenBLAS | None) -> tuple:
+    """(dggev, binding name): blas's dggev through ctypes, or f2py's without a library."""
+    if blas is None:
         return _f2py_dggev, "f2py"
-    return _ctypes_dggev(lib.scipy_dggev_), "ctypes"
+    return _ctypes_dggev(blas.dggev, blas.integer), "ctypes"
 
 
-_openblas = None if SCIPY_DIR is None else _load_openblas(SCIPY_DIR.parent / "scipy.libs")
+_openblas = _load_openblas(_OPENBLAS_LIBS)
 # DGGEV names the binding real_pairs_fast calls: "ctypes" (GIL-free) or "f2py"
 _dggev, DGGEV = _bind_dggev(_openblas)
 
 
 @contextmanager
 def one_blas_thread():
-    """Pin scipy's OpenBLAS to one thread inside the context, then restore its count.
+    """Pin the bound OpenBLAS to one thread inside the context, then restore its count.
 
-    Threads that each run a QZ must not also split their BLAS calls. Without
-    the vendored library this does nothing: the f2py binding runs serially.
+    Threads that each run a QZ must not also split their BLAS calls, and a
+    matrix product must not depend on the machine's thread count: with
+    numpy's library bound, numpy's own products run on it too. Without a
+    library this does nothing: the f2py binding runs serially.
     """
-    lib = _openblas
-    if lib is None:
+    blas = _openblas
+    if blas is None:
         yield
         return
-    old = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+    old = blas.get_num_threads()
+    blas.set_num_threads(1)
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads(old)
+        blas.set_num_threads(old)
 
 
 def real_pairs_fast(data: np.ndarray) -> RealPairs:

@@ -38,19 +38,22 @@ SCIPY_DIR = None if _spec is None or _spec.origin is None else Path(_spec.origin
 def _load_erf() -> tuple:
     """(erf, erfc, ERF): scipy.special's ufuncs from its extension _special_ufuncs alone.
 
-    That costs about 1 MiB, importing scipy.special about 24 MiB; a later import of
-    scipy.special reuses the module, registered under its own name. ERF is "extension",
+    That costs about 1 MiB, importing scipy.special about 24 MiB. ERF is "extension",
     or "scipy.special" where that file is missing (older scipy keeps erf in _ufuncs).
     """
     name, root = "scipy.special._special_ufuncs", SCIPY_DIR
     paths = [root / "special" / f"_special_ufuncs{x}" for x in EXTENSION_SUFFIXES] if root else []
     try:
-        if name not in sys.modules:
+        module = sys.modules.get(name)
+        if module is None:
             loader = ExtensionFileLoader(name, str(next(p for p in paths if p.is_file())))
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
             loader.exec_module(module)
-            sys.modules[name] = module
-        return sys.modules[name].erf, sys.modules[name].erfc, "extension"
+            # creating a single-phase extension module registers it, but a later import of
+            # scipy.special would then not bind it as its attribute; unregistered, that
+            # import takes it from the interpreter's cache of this module, same ufuncs
+            sys.modules.pop(name, None)
+        return module.erf, module.erfc, "extension"
     except (StopIteration, ImportError, AttributeError):
         from scipy.special import erf, erfc
         return erf, erfc, "scipy.special"

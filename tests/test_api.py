@@ -1,6 +1,6 @@
 """Every exported name resolves; a run, its emit and an estimate load none of scipy,
-scipy.special, scipy.optimize, scipy.linalg or multiprocessing, and fall back to
-scipy.special's erf."""
+scipy.special, scipy.optimize, scipy.linalg or multiprocessing, a serial run neither
+numpy.ma nor concurrent.futures nor a second OpenBLAS; erf falls back to scipy.special's."""
 
 import hashlib
 import importlib
@@ -50,7 +50,7 @@ def test_run_imports_no_scipy_special_optimize_or_linalg():
     # scipy.special costs every process about 24 MiB, scipy.optimize about 17 MiB and
     # 0.2 s, scipy.linalg about 6 MiB, the bare scipy package about 1.4 MiB
     lines = _python("""
-import json, sys, tempfile
+import dataclasses, json, sys, tempfile
 from pathlib import Path
 import numpy as np
 from pencilkde import cli
@@ -61,9 +61,15 @@ loaded = lambda: [m for m in names if m in sys.modules]
 print(loaded())
 model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
 cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64, tau=0.5,
-                       seed=7, threads=2)
+                       seed=7, threads=1)
 with tempfile.TemporaryDirectory() as out:
-    report = run(cfg)
+    emit(run(cfg), out)
+print([m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules])
+maps = Path("/proc/self/maps")
+print(sorted({line.split()[-1] for line in maps.read_text().splitlines()
+              if "openblas" in line}) if maps.exists() else None)
+with tempfile.TemporaryDirectory() as out:
+    report = run(dataclasses.replace(cfg, threads=2))
     assert report.fit.converged
     emit(report, out)
     print(json.loads((Path(out) / "metadata.json").read_text())["versions"]["scipy"])
@@ -75,7 +81,11 @@ print(loaded())
 """)
     # the f2py fallback of dggev is the one user of scipy.linalg in a run
     after = "[]" if pencil.DGGEV == "ctypes" else "['scipy', 'scipy.linalg']"
-    assert (lines[0], lines[1], lines[-1]) == ("[]", scipy.__version__, after)
+    assert (lines[0], lines[1], lines[3], lines[-1]) == ("[]", "[]", scipy.__version__, after)
+    # one OpenBLAS mapped: numpy's, which also serves dggev, and no copy from scipy.libs
+    blas = pencil._openblas
+    if lines[2] != "None" and blas is not None and blas.path.parent.name == "numpy.libs":
+        assert lines[2] == repr([str(blas.path)])
 
 
 def test_erf_falls_back_to_scipy_special(tmp_path):
@@ -107,3 +117,14 @@ with tempfile.TemporaryDirectory() as out:
             for name in ("densities.csv", "modes.json", "params.json")]
     assert lines == ["scipy.special True", "scipy.special"] + want
     assert json.loads((tmp_path / "metadata.json").read_text())["erf"] == specfun.ERF
+
+
+def test_scipy_special_binds_the_extension_specfun_loaded():
+    # specfun loads scipy.special's _special_ufuncs first; scipy.special, imported
+    # after it, still has the module as its attribute, with the same ufuncs
+    lines = _python("""
+from pencilkde import specfun
+import scipy.special
+print(scipy.special._special_ufuncs.erf is specfun.erf, scipy.special.erfc is specfun.erfc)
+""")
+    assert lines == ["True True"]

@@ -1,10 +1,12 @@
 """End-to-end pipeline: config, deterministic runs, emitted files, CLI."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -127,27 +129,27 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     return seen
 
 
 @pytest.fixture
 def blas_threads_seen(monkeypatch):
     """OpenBLAS's thread count at each harness.real_pairs_fast call, from a count of 2."""
-    lib = pencil._openblas
-    if lib is None:
-        pytest.skip("scipy's vendored OpenBLAS is not present")
+    blas = pencil._openblas
+    if blas is None:
+        pytest.skip("no OpenBLAS library is bound")
     seen = []
 
     def record(data):
-        seen.append(lib.scipy_openblas_get_num_threads())
+        seen.append(blas.get_num_threads())
         return pencil.real_pairs_fast(data)
 
     monkeypatch.setattr(harness, "real_pairs_fast", record)
-    old = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
+    old = blas.get_num_threads()
+    blas.set_num_threads(2)
     yield seen
-    lib.scipy_openblas_set_num_threads(old)
+    blas.set_num_threads(old)
 
 
 class TestExperimentConfig:
@@ -253,10 +255,10 @@ class TestDecompose:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blas_pinned_while_decomposing_then_restored(self, threads, blas_threads_seen):
-        before = pencil._openblas.scipy_openblas_get_num_threads()
+        before = pencil._openblas.get_num_threads()
         decompose_replications(MICRO_MODEL, seed=3, n_rep=12, threads=threads)
         assert blas_threads_seen == [1] * 12
-        assert pencil._openblas.scipy_openblas_get_num_threads() == before
+        assert pencil._openblas.get_num_threads() == before
 
     def test_counts_sum_identity(self):
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=12)
@@ -327,13 +329,14 @@ class TestRun:
             )
 
     def test_f2py_fallback_same_bits_one_worker(self, micro_report, monkeypatch, tmp_path):
-        # as if scipy's OpenBLAS were absent: no library, f2py's dggev, no pool
-        assert pencil._load_openblas(tmp_path) is None
+        # as if no OpenBLAS were found: no library, f2py's dggev, no pool
+        assert pencil._load_openblas([(tmp_path, *c[1:]) for c in pencil._OPENBLAS_LIBS]) is None
         dggev, name = pencil._bind_dggev(None)
         monkeypatch.setattr(pencil, "_openblas", None)
         monkeypatch.setattr(pencil, "_dggev", dggev)
         monkeypatch.setattr(pencil, "DGGEV", name)
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", None)  # any pool would fail
+        # any pool would fail
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         report = run(micro_config(threads=4))
         assert (report.workers, report.dggev) == (1, "f2py")
         emit(report, tmp_path / "f2py")
@@ -344,6 +347,46 @@ class TestRun:
             ).read_bytes()
         meta = json.loads((tmp_path / "f2py" / "metadata.json").read_text())
         assert (meta["threads"], meta["workers"], meta["dggev"]) == (4, 1, "f2py")
+
+    def test_estimate_bits_independent_of_blas_threads(self):
+        # J^T r over 2**18 residuals splits across OpenBLAS threads, which changes its
+        # bits; estimate_pipeline pins one thread, so a Levenberg-Marquardt search run
+        # inside it ends on the same bits with OPENBLAS_NUM_THREADS 1 and 2
+        if pencil._openblas is None or available_cpus() < 2:
+            pytest.skip("needs a bound OpenBLAS and two CPUs")
+        code = """
+import numpy as np
+from pencilkde import harness, kde
+from pencilkde.multiexp import SignalModel
+model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
+sample, _ = harness.sample_from_pairs(harness.decompose_replications(model, 3, 20))
+u = np.linspace(0.0, 4.0, 2**18)
+y = 1.5 * np.exp(-0.7 * u) + 0.25 + np.random.default_rng(0).normal(0.0, 0.1, u.size)
+
+class Decay:
+    def residuals(self, theta):
+        res = theta[1] * np.exp(-theta[0] * u) + theta[2] - y
+        return float((res * res).sum()), res
+
+def fit(h):
+    inf = np.full(3, np.inf)
+    x, fun, nfev, _ = kde._levenberg_marquardt(Decay(), np.array([0.1, 1.0, 0.0]), -inf, inf)
+    print(x.tobytes().hex(), fun.hex(), nfev)
+    return kde.fit_reference(h)
+
+harness.fit_reference = fit
+harness.estimate_pipeline(sample, (0.3, 1.1), 64, 0.5, "proposed")
+"""
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(Path(harness.__file__).parent.parent), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
     def test_phase_timings_recorded(self, micro_report):
         assert {"decompose", "histogram", "estimate"} <= set(micro_report.timings)
@@ -782,12 +825,12 @@ class TestCli:
         assert pool_sizes == [harness.decompose_workers(available_cpus(), 40)]
 
     def test_estimate_pins_blas_then_restores(self, dataset_csv, tmp_path, blas_threads_seen):
-        before = pencil._openblas.scipy_openblas_get_num_threads()
+        before = pencil._openblas.get_num_threads()
         code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--window=0.3,1.1",
                               "--points=64", f"--out={tmp_path / 'est'}"])
         assert code == 0
         assert blas_threads_seen == [1] * 40
-        assert pencil._openblas.scipy_openblas_get_num_threads() == before
+        assert pencil._openblas.get_num_threads() == before
 
     @pytest.mark.parametrize(
         "payload",

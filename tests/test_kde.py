@@ -336,6 +336,34 @@ class TestGaussianBandwidth:
         scaled = gaussian_bandwidth(single_replication(0.3 * pts))
         assert scaled == pytest.approx(0.09 * base, rel=1e-12)
 
+    def test_quartiles_are_np_percentile_values(self):
+        # the values of np.percentile(a, [25, 75]), ties, n = 2, 3 and signed zeros
+        # included; a zero's sign may differ, as -0.0 and 0.0 tie in the sort
+        rng = np.random.default_rng(16)
+        arrays = [[1.0, -2.0], [0.5, 0.5, 3.0], [-0.0, 0.0], [0.0, -0.0, 0.0],
+                  [-1.0, -0.0, 0.0, 1.0], [1e308, -1e308, 3.0], [5e-324, -5e-324, 0.0]]
+        for n in range(2, 60):
+            arrays += [rng.normal(0.9, 0.05, n), rng.integers(-2, 3, n).astype(float),
+                       rng.choice([-0.0, 0.0, 1.0, -1.0], n), np.exp(rng.normal(0, 30, n))]
+        for a in map(np.array, arrays):
+            before = a.copy()
+            got = kde._quartiles(a)
+            assert np.array_equal(got, np.percentile(a, [25.0, 75.0]), equal_nan=True)
+            assert np.array_equal(a, before)
+
+    def test_bit_equal_to_percentile_formula(self, model2_pairs, rng):
+        def oracle(sample):
+            pooled, _ = sample.pooled()
+            q25, q75 = np.percentile(pooled, [25.0, 75.0])
+            scale = min(float(np.std(pooled)), float(q75 - q25) / 1.349)
+            return (0.9 * scale * int(sample.blocks_total or pooled.size) ** (-0.2)) ** 2
+
+        samples = [model2_pairs[0], single_replication(rng.normal(0.9, 0.05, 401)),
+                   single_replication(rng.integers(0, 7, 250) / 8.0),
+                   single_replication([0.5, 2.0]), single_replication([0.1, 0.2, 0.4])]
+        for sample in samples:
+            assert gaussian_bandwidth(sample).hex() == oracle(sample).hex()
+
     def test_rejects_degenerate_samples(self):
         with pytest.raises(ValueError):
             gaussian_bandwidth(single_replication([0.9, 0.9, 0.9]))

@@ -209,7 +209,7 @@ class TestDggevBindings:
     @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
     def test_ctypes_equals_f2py(self, name, n_rep, p, monkeypatch):
         if pencil.DGGEV != "ctypes":
-            pytest.skip("scipy's vendored OpenBLAS is not present")
+            pytest.skip("no OpenBLAS library is bound")
         config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
         assert config.model.n == 2 * p
         records = [generate(config.model, config.seed, r) for r in range(n_rep)]
@@ -250,7 +250,7 @@ class TestDggevBindings:
 
     def test_ctypes_rejects_arrays_it_cannot_pass(self):
         if pencil.DGGEV != "ctypes":
-            pytest.skip("scipy's vendored OpenBLAS is not present")
+            pytest.skip("no OpenBLAS library is bound")
         u = np.eye(4)
         read_only = u.copy()
         read_only.flags.writeable = False
@@ -272,11 +272,55 @@ class TestDggevBindings:
         assert real_pairs_fast(np.array([0.0, 0.0, 1.0, 0.0])).n_infinite >= 1
 
     def test_missing_library_binds_f2py(self, tmp_path):
-        (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a library")
-        assert pencil._load_openblas(tmp_path) is None
-        assert pencil._load_openblas(tmp_path / "absent") is None
+        candidates = _hidden(pencil._OPENBLAS_LIBS, tmp_path)
+        for _, *rest in candidates:
+            assert pencil._load_openblas([(tmp_path, *rest)]) is None
+            assert pencil._load_openblas([(tmp_path / "absent", *rest)]) is None
+            assert pencil._load_openblas([(None, *rest)]) is None
+        assert pencil._load_openblas(candidates) is None
         dggev, name = pencil._bind_dggev(None)
         assert (dggev, name) == (pencil._f2py_dggev, "f2py")
+
+    def test_library_without_the_symbols_is_skipped(self):
+        # numpy's ILP64 library read with the LP64 names exports no scipy_dggev_
+        numpy_libs, pattern = pencil._OPENBLAS_LIBS[0][:2]
+        if not any(numpy_libs.glob(pattern)):
+            pytest.skip("numpy's OpenBLAS is not in numpy.libs")
+        assert pencil._load_openblas([(numpy_libs, pattern, "", np.intc)]) is None
+
+    @pytest.mark.parametrize("hidden", [0, 1, 2])
+    def test_loader_order_same_bits(self, hidden, tmp_path, monkeypatch):
+        # the first `hidden` candidates hidden: the next one is bound, f2py after the last
+        libs = pencil._OPENBLAS_LIBS
+        candidates = _hidden(libs[:hidden], tmp_path) + list(libs[hidden:])
+        blas = pencil._load_openblas(candidates)
+        if hidden < len(libs):
+            directory, pattern = libs[hidden][:2]
+            if directory is None or not any(directory.glob(pattern)):
+                pytest.skip(f"no {pattern} in {directory}")
+            assert blas.path.parent == directory
+            assert blas.integer == libs[hidden][3]
+        else:
+            assert blas is None
+        dggev, name = pencil._bind_dggev(blas)
+        assert name == ("f2py" if blas is None else "ctypes")
+        records = [generate(ExperimentConfig.from_json_file(CONFIGS / f"{n}.json").model, 0, r)
+                   for n, n_rep in (("model1", 6), ("model2", 2)) for r in range(n_rep)]
+        want = [real_pairs_fast(d) for d in records]
+        monkeypatch.setattr(pencil, "_dggev", dggev)
+        for d, a in zip(records, want, strict=True):
+            b = real_pairs_fast(d)
+            for field in ("s", "t", "ratio"):
+                assert np.array_equal(_bits(getattr(a, field)), _bits(getattr(b, field)))
+            assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
+
+
+def _hidden(candidates, tmp_path) -> list:
+    """candidates with their directory replaced by tmp_path, which holds a file of each
+    name pattern that is not a library."""
+    for _, pattern, *_ in candidates:
+        (tmp_path / pattern.replace("*", "-0", 1).replace("*", "")).write_bytes(b"not a library")
+    return [(tmp_path, *rest) for _, *rest in candidates]
 
 
 class TestVandermondeSolve:
