@@ -334,8 +334,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+# a float's f"{v:.17g}" text; for an np.float64 the bound % skips numpy's __format__
+_fmt = "%.17g".__mod__
 
 
 def _mode_payload(modes) -> list | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,42 +64,39 @@ class Mode:
     height: float
 
 
-@dataclass
 class EigenSample:
-    """Per-replication sign-normalized real Schur pairs and their ratios.
+    """The sign-normalized real Schur pairs of R replications and their ratios, pooled.
 
+    s, t and ratio hold every replication's pairs end to end, in replication
+    order: replication r is the slice offsets[r]:offsets[r + 1]. weight is
+    each eigenvalue's mass 1/(R p_r), p_r its replication's count.
     blocks_total is the nominal eigenvalue count R*p before complex and
     infinite pairs were discarded; 0 means unknown.
     """
 
-    s: list
-    t: list
-    ratio: list
-    blocks_total: int = 0
-
-    def __post_init__(self):
-        if not (len(self.s) == len(self.t) == len(self.ratio)):
+    def __init__(self, s, t, ratio, blocks_total: int = 0):
+        """The sample of the per-replication sequences s[r], t[r] and ratio[r]."""
+        if not len(s) == len(t) == len(ratio):
             raise ValueError("per-replication lists must have equal length")
-        self.s = [np.asarray(a, dtype=float) for a in self.s]
-        self.t = [np.asarray(a, dtype=float) for a in self.t]
-        self.ratio = [np.asarray(a, dtype=float) for a in self.ratio]
+        sizes = [len(a) for a in ratio]
+        if [len(a) for a in s] != sizes or [len(a) for a in t] != sizes:
+            raise ValueError("each replication needs as many s and t values as ratios")
+        self.s, self.t, self.ratio = (
+            np.concatenate([[], *parts], dtype=float) for parts in (s, t, ratio)
+        )
+        self.offsets = np.cumsum([0, *sizes])
+        # an empty replication repeats no weight, so its divisor only has to be nonzero
+        self.weight = np.repeat(1.0 / (self.R * np.maximum(sizes, 1)), sizes)
+        self.blocks_total = blocks_total
 
     @property
     def R(self) -> int:
-        return len(self.ratio)
+        return self.offsets.size - 1
 
-    def pooled(self):
-        """(ratios, weights) flattened; weight 1/(R p_r) per eigenvalue."""
-        R = self.R
-        parts, weights = [], []
-        for arr in self.ratio:
-            if arr.size == 0:
-                continue
-            parts.append(arr)
-            weights.append(np.full(arr.size, 1.0 / (R * arr.size)))
-        if not parts:
-            return np.array([]), np.array([])
-        return np.concatenate(parts), np.concatenate(weights)
+    def bounds(self):
+        """(start, end) of each replication that kept an eigenvalue, in replication order."""
+        offsets = self.offsets.tolist()
+        return [(a, b) for a, b in zip(offsets[:-1], offsets[1:]) if a < b]
 
 
 @dataclass
@@ -173,21 +170,17 @@ def empirical_density(sample: EigenSample, window, bins: int) -> DensityGrid:
     the window are dropped, so the grid integrates to the captured fraction.
     """
     edges, centers = _bin_grid(window, bins)
-    pooled, weights = sample.pooled()
-    if pooled.size == 0:
+    if sample.ratio.size == 0:
         raise ValueError("empty eigenvalue sample")
     width = edges[1] - edges[0]
-    hist, _ = np.histogram(pooled, bins=edges, weights=weights)
+    hist, _ = np.histogram(sample.ratio, bins=edges, weights=sample.weight)
     return DensityGrid(x=centers, y=hist / width)
 
 
 def count_outside(sample: EigenSample, window) -> int:
     """Eigenvalues excluded from the window by empirical_density."""
     lo, hi = float(window[0]), float(window[1])
-    total = 0
-    for arr in sample.ratio:
-        total += int(np.count_nonzero((arr < lo) | (arr > hi)))
-    return total
+    return int(np.count_nonzero((sample.ratio < lo) | (sample.ratio > hi)))
 
 
 def gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> DensityGrid:
@@ -205,10 +198,9 @@ def gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> Dens
     y = np.zeros(grid_x.size)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
     R = sample.R
-    buf = np.empty((min(CHUNK, max((p.size for p in sample.ratio), default=0)), grid_x.size))
-    for pts in sample.ratio:
-        if pts.size == 0:
-            continue
+    buf = np.empty((min(CHUNK, np.diff(sample.offsets).max(initial=0)), grid_x.size))
+    for start, end in sample.bounds():
+        pts = sample.ratio[start:end]
         acc = np.zeros(grid_x.size)
         for k in range(0, pts.size, CHUNK):
             mu = pts[k : k + CHUNK, None]
@@ -251,7 +243,7 @@ def gaussian_bandwidth(sample: EigenSample) -> float:
     size R*p, counting the discarded complex pairs toward the resolution the
     sample was drawn at) when known, else the kept count.
     """
-    pooled, _ = sample.pooled()
+    pooled = sample.ratio
     if pooled.size < 2:
         raise ValueError("need at least two eigenvalues for a bandwidth")
     q25, q75 = _quartiles(pooled)
@@ -266,8 +258,7 @@ def gaussian_bandwidth(sample: EigenSample) -> float:
 
 def pooled_correlation(sample: EigenSample) -> float:
     """Sample correlation of all sign-normalized (s, t) pairs pooled."""
-    s = np.concatenate([a for a in sample.s]) if sample.s else np.array([])
-    t = np.concatenate([a for a in sample.t]) if sample.t else np.array([])
+    s, t = sample.s, sample.t
     if s.size < 2:
         raise ValueError("need at least two pairs for a correlation")
     sd_s = np.std(s)
@@ -531,13 +522,12 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
         raise ValueError(f"pilot variance t0 must be positive, got {t0}")
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
-    pooled, weights = sample.pooled()
-    if pooled.size == 0:
+    if sample.ratio.size == 0:
         raise ValueError("empty eigenvalue sample")
-    R = sample.R
+    weights = sample.weight
 
     # E[1/sqrt(D)]: D at the eigenvalue's own position x = ratio
-    d, den, scale = _pde._diffusion_at_centers(rho, t0, pooled)
+    d, den, scale = _pde._diffusion_at_centers(rho, t0, sample.ratio)
     valid = (np.abs(den) > _pde.EPS_DENOM * np.maximum(scale, 1e-300)) & (d > 0.0)
     skipped = int(np.count_nonzero(~valid))
     if not np.any(valid):
@@ -552,7 +542,7 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
 
     if norm_term <= 0.0:
         raise ValueError("degenerate evolution norm")
-    t_star = (e_term / (2.0 * R * math.sqrt(math.pi) * norm_term)) ** 0.4
+    t_star = (e_term / (2.0 * sample.R * math.sqrt(math.pi) * norm_term)) ** 0.4
     return t_star, skipped
 
 
@@ -625,20 +615,15 @@ def proposed_estimate(
     grid_x = np.asarray(grid_x, dtype=float)
     kernel = _RatioKernel(grid_x)
     kernel.prepare(t_star, rho)
-    pooled, _ = sample.pooled()
-    mus = pooled.tolist()
-    e2 = kernel.cauchy_exp(pooled).tolist()
-    spans = _kernel_supports(pooled, grid_x, t_star, rho)
+    mus = sample.ratio.tolist()
+    e2 = kernel.cauchy_exp(sample.ratio).tolist()
+    spans = _kernel_supports(sample.ratio, grid_x, t_star, rho)
     y = np.zeros(grid_x.size)
     chunk_sum = np.empty(grid_x.size)
     R = sample.R
-    start = 0
     # same per-replication accumulation as gaussian_estimate, for the same
     # bit-for-bit mixture-merge property
-    for pts in sample.ratio:
-        if pts.size == 0:
-            continue
-        end = start + pts.size
+    for start, end in sample.bounds():
         acc = np.zeros(grid_x.size)
         for k in range(start, end, CHUNK):
             chunk_sum.fill(0.0)
@@ -647,8 +632,7 @@ def proposed_estimate(
                 for a, b in slices:
                     chunk_sum[a:b] += kernel.row(m, e, a, b)
             acc += chunk_sum
-        start = end
-        y += acc / (R * pts.size)
+        y += acc / (R * (end - start))
     return DensityGrid(x=grid_x, y=y)
 
 

@@ -295,25 +295,40 @@ _openblas = _load_openblas(_OPENBLAS_LIBS)
 _dggev, DGGEV = _bind_dggev(_openblas)
 
 
+# one_blas_thread's pins that are open, and the thread count the first saved
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
 @contextmanager
 def one_blas_thread():
     """Pin the bound OpenBLAS to one thread inside the context, then restore its count.
 
     Threads that each run a QZ must not also split their BLAS calls, and a
     matrix product must not depend on the machine's thread count: with
-    numpy's library bound, numpy's own products run on it too. Without a
-    library this does nothing: the f2py binding runs serially.
+    numpy's library bound, numpy's own products run on it too. The count is
+    the process's, so pins that overlap share one: the first to enter saves
+    the count and pins, and the last to leave restores it. Without a library
+    this does nothing: the f2py binding runs serially.
     """
+    global _pin_depth, _pin_saved
     blas = _openblas
     if blas is None:
         yield
         return
-    old = blas.get_num_threads()
-    blas.set_num_threads(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = blas.get_num_threads()
+            blas.set_num_threads(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        blas.set_num_threads(old)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                blas.set_num_threads(_pin_saved)
 
 
 def real_pairs_fast(data: np.ndarray) -> RealPairs:

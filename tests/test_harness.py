@@ -271,13 +271,15 @@ class TestDecompose:
             + counts["infinite_discarded"]
             == counts["blocks_total"]
         )
-        assert sum(r.size for r in sample.ratio) == counts["real_kept"]
+        assert sample.ratio.size == sample.offsets[-1] == counts["real_kept"]
+        assert np.diff(sample.offsets).tolist() == [p.ratio.size for p in pairs]
+        assert sample.blocks_total == counts["blocks_total"]
 
     def test_ratios_are_pair_quotients(self):
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=6)
         sample, _ = sample_from_pairs(pairs)
-        for s, t, ratio in zip(sample.s, sample.t, sample.ratio):
-            assert np.array_equal(ratio, s / t)
+        assert sample.ratio.size > 0
+        assert np.array_equal(sample.ratio, sample.s / sample.t)
 
     def test_noise_free_model_gives_identical_replications(self):
         model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=0.0, n=4)
@@ -289,9 +291,11 @@ class TestDecompose:
             "infinite_discarded": 0,
             "blocks_total": 20,
         }
-        first = np.sort(sample.ratio[0])
-        for r in sample.ratio[1:]:
-            assert np.array_equal(np.sort(r), first)
+        assert sample.R == 10
+        reps = [np.sort(sample.ratio[i:j]) for i, j in sample.bounds()]
+        assert len(reps) == 10
+        for r in reps[1:]:
+            assert np.array_equal(r, reps[0])
         # the reference histogram collapses to one spike per component
         h = empirical_density(sample, (0.3, 1.1), 64)
         width = h.x[1] - h.x[0]
@@ -421,6 +425,18 @@ class TestEmit:
         lines = (tmp_path / "densities.csv").read_text().splitlines()
         assert lines[0] == "x,reference,empirical,gaussian,proposed"
         assert len(lines) == 1 + micro_report.config.points
+
+    def test_fmt_is_the_17_digit_f_string(self):
+        # random bit patterns, signed zeros, infinities, nan, subnormals and the
+        # integers where 17 digits stop being exact, as float and as np.float64
+        rng = np.random.default_rng(18)
+        bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1e16, 1e17, -1e17, 2.0**53, 2.0**53 + 2, 0.1, 1.7976931348623157e308]
+        values = bits.view(np.float64).tolist() + special
+        for v in values:
+            for x in (float(v), np.float64(v)):
+                assert _fmt(x) == f"{x:.17g}"
 
     def test_byte_determinism_across_runs(self, tmp_path):
         emit(run(micro_config()), tmp_path / "a")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy import special
+from scipy.integrate import trapezoid
 
 from pencilkde import kde, pde, ratio_density
 from pencilkde.harness import ExperimentConfig, decompose_replications, sample_from_pairs
@@ -46,10 +47,36 @@ def reference_sample(seed, size, spec):
     return EigenSample(s=[vw[:, 1]], t=[vw[:, 0]], ratio=[vw[:, 1] / vw[:, 0]])
 
 
+def split(sample, field="ratio"):
+    """One of sample's flat arrays cut into its replications, as views."""
+    a, offsets = getattr(sample, field), sample.offsets.tolist()
+    return [a[i:j] for i, j in zip(offsets[:-1], offsets[1:])]
+
+
+def merge(*samples):
+    """One sample holding the replications of samples, in order."""
+    fields = ("s", "t", "ratio")
+    return EigenSample(**{f: [r for x in samples for r in split(x, f)] for f in fields})
+
+
+def pooled_oracle(ratio):
+    """Reference: the (ratios, weights) EigenSample.pooled() built from per-replication arrays."""
+    R = len(ratio)
+    parts, weights = [], []
+    for arr in (np.asarray(a, dtype=float) for a in ratio):
+        if arr.size == 0:
+            continue
+        parts.append(arr)
+        weights.append(np.full(arr.size, 1.0 / (R * arr.size)))
+    if not parts:
+        return np.array([]), np.array([])
+    return np.concatenate(parts), np.concatenate(weights)
+
+
 def loop_t_star_details(sample, fit, rho_hat, window):
     """Reference: the per-eigenvalue loop bandwidth_t_star_details replaced."""
     t0, rho = float(fit.t0), float(rho_hat)
-    pooled, weights = sample.pooled()
+    pooled, weights = sample.ratio, sample.weight
     inv_sqrt = np.empty(pooled.size)
     valid = np.zeros(pooled.size, dtype=bool)
     for i, xi in enumerate(pooled):
@@ -80,7 +107,7 @@ def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
     """Reference: the dense chunked mixture proposed_estimate replaced, plain erf."""
     y = np.zeros(grid_x.size)
     with plain_erf():
-        for pts in sample.ratio:
+        for pts in split(sample):
             if pts.size == 0:
                 continue
             acc = np.zeros(grid_x.size)
@@ -158,11 +185,7 @@ SWEEP = np.random.default_rng(7).permutation(np.linspace(-1.0, 3.0, 1201))
 
 def with_sweep(sample):
     """The sample with one more replication, SWEEP."""
-    return EigenSample(
-        s=sample.s + [SWEEP.copy()],
-        t=sample.t + [np.ones_like(SWEEP)],
-        ratio=sample.ratio + [SWEEP.copy()],
-    )
+    return merge(sample, single_replication(SWEEP))
 
 
 @pytest.fixture(scope="module")
@@ -178,23 +201,64 @@ class TestEigenSample:
         with pytest.raises(ValueError):
             EigenSample(s=[[1.0]], t=[[1.0], [2.0]], ratio=[[1.0]])
 
+    def test_rejects_mismatched_replication_sizes(self):
+        with pytest.raises(ValueError):
+            EigenSample(s=[[1.0, 2.0]], t=[[1.0]], ratio=[[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            EigenSample(s=[[1.0], []], t=[[1.0], []], ratio=[[], [1.0]])
+
     def test_pooled_weights(self):
         sample = EigenSample(
             s=[[1.0, 2.0], [3.0, 4.0, 5.0]],
             t=[[1.0, 1.0], [1.0, 1.0, 1.0]],
             ratio=[[1.0, 2.0], [3.0, 4.0, 5.0]],
         )
-        pooled, weights = sample.pooled()
-        assert pooled.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert weights.tolist() == pytest.approx([0.25, 0.25, 1 / 6, 1 / 6, 1 / 6])
-        assert weights.sum() == pytest.approx(1.0, rel=1e-15)
+        assert sample.ratio.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sample.offsets.tolist() == [0, 2, 5]
+        assert sample.R == 2
+        assert sample.weight.tolist() == pytest.approx([0.25, 0.25, 1 / 6, 1 / 6, 1 / 6])
+        assert sample.weight.sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_empty_replication_carries_no_weight(self):
         # the empty replication still divides: total mass drops to 1/R
         sample = EigenSample(s=[[1.0], []], t=[[1.0], []], ratio=[[0.5], []])
-        pooled, weights = sample.pooled()
-        assert pooled.tolist() == [0.5]
-        assert weights.tolist() == [0.5]
+        assert sample.ratio.tolist() == [0.5]
+        assert sample.weight.tolist() == [0.5]
+        assert sample.offsets.tolist() == [0, 1, 1]
+        assert sample.bounds() == [(0, 1)]
+
+    def test_empty_sample(self):
+        sample = EigenSample(s=[], t=[], ratio=[])
+        assert sample.R == 0
+        assert sample.offsets.tolist() == [0]
+        for a in (sample.s, sample.t, sample.ratio, sample.weight):
+            assert a.dtype == np.float64 and a.size == 0
+
+    @pytest.mark.parametrize("sizes", [[7, 0, 3, 12], [0, 0, 5], [0], [1] * 3, [4, 0] * 6 + [9]])
+    def test_bit_equal_to_pooled_formula(self, rng, sizes):
+        # R = 4, 3, 1, 3 and 13; empty replications first, inside and alone
+        ratio = [rng.normal(0.9, 0.05, n) for n in sizes]
+        s = [rng.normal(size=n) for n in sizes]
+        t = [rng.normal(size=n) for n in sizes]
+        sample = EigenSample(s=s, t=t, ratio=ratio, blocks_total=99)
+        want_ratio, want_weight = pooled_oracle(ratio)
+        assert same_bits(sample.ratio, want_ratio)
+        assert same_bits(sample.weight, want_weight)
+        assert same_bits(sample.s, pooled_oracle(s)[0])
+        assert same_bits(sample.t, pooled_oracle(t)[0])
+        assert sample.offsets.tolist() == np.cumsum([0, *sizes]).tolist()
+        assert (sample.R, sample.blocks_total) == (len(sizes), 99)
+        for got, want in zip(split(sample), ratio, strict=True):
+            assert same_bits(got, want)
+
+    def test_bit_equal_to_pooled_formula_on_model2_pairs(self, model2_pairs):
+        sample = model2_pairs[0]
+        pairs = decompose_replications(
+            ExperimentConfig.from_json_file(CONFIGS / "model2.json").model, 0, 20
+        )
+        want_ratio, want_weight = pooled_oracle([p.ratio for p in pairs])
+        assert same_bits(sample.ratio, want_ratio)
+        assert same_bits(sample.weight, want_weight)
 
 
 class TestEmpiricalDensity:
@@ -215,7 +279,7 @@ class TestEmpiricalDensity:
         window = (0.75, 1.0)
         h = empirical_density(sample, window, 256)
         width = h.x[1] - h.x[0]
-        pooled, weights = sample.pooled()
+        pooled, weights = pooled_oracle(ratio)
         captured = weights[(pooled >= window[0]) & (pooled < window[1])].sum()
         assert h.y.sum() * width == pytest.approx(captured, rel=1e-12)
 
@@ -226,6 +290,15 @@ class TestEmpiricalDensity:
             ratio=[[0.5, 0.9], [1.5]],
         )
         assert count_outside(sample, (0.0, 1.0)) == 1
+
+    def test_count_outside_matches_per_replication_loop(self, rng):
+        ratio = [rng.uniform(0.6, 1.1, n) for n in rng.integers(0, 9, 30)]
+        sample = EigenSample(s=ratio, t=ratio, ratio=ratio)
+        # a window whose ends are sample values, which count as inside
+        ends = tuple(np.sort(sample.ratio)[[10, 60]])
+        for window in ((0.75, 1.0), (0.85, 0.96), ends):
+            want = sum(int(np.count_nonzero((r < window[0]) | (r > window[1]))) for r in ratio)
+            assert count_outside(sample, window) == want
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
@@ -268,7 +341,7 @@ class TestGaussianEstimate:
         sample = single_replication(rng.normal(0.9, 0.2, 300))
         grid = np.linspace(-6.0, 8.0, 2001)
         h = gaussian_estimate(sample, grid, 0.05)
-        assert np.trapezoid(h.y, grid) == pytest.approx(1.0, abs=1e-6)
+        assert trapezoid(h.y, grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_heat_equation_residual(self):
         rng = np.random.default_rng(3)
@@ -313,9 +386,7 @@ class TestGaussianEstimate:
         grid = np.linspace(0.0, 2.0, 257)
         a = single_replication([0.8, 0.85, 0.9])
         b = single_replication([0.7])
-        merged = EigenSample(
-            s=a.s + b.s, t=a.t + b.t, ratio=[r.copy() for r in a.ratio + b.ratio]
-        )
+        merged = merge(a, b)
         ya = gaussian_estimate(a, grid, 0.03).y
         yb = gaussian_estimate(b, grid, 0.03).y
         ym = gaussian_estimate(merged, grid, 0.03).y
@@ -353,7 +424,7 @@ class TestGaussianBandwidth:
 
     def test_bit_equal_to_percentile_formula(self, model2_pairs, rng):
         def oracle(sample):
-            pooled, _ = sample.pooled()
+            pooled = pooled_oracle(split(sample))[0]
             q25, q75 = np.percentile(pooled, [25.0, 75.0])
             scale = min(float(np.std(pooled)), float(q75 - q25) / 1.349)
             return (0.9 * scale * int(sample.blocks_total or pooled.size) ** (-0.2)) ** 2
@@ -760,7 +831,7 @@ class TestBandwidthTStar:
     def test_matches_loop_with_skipped_components(self, rng):
         # x = rho makes the leading P3 coefficient vanish, so polymul trims it
         sample = replications(rng, [30, 5, 0, 17], 0.3, 1.2)
-        sample.ratio[1][0] = 0.9
+        split(sample)[1][0] = 0.9
         fit = self.fit()
         got = bandwidth_t_star_details(sample, fit, 0.9, self.WINDOW)
         assert got[1] > 0
@@ -806,9 +877,7 @@ class TestProposedEstimate:
         grid = np.linspace(0.5, 1.3, 257)
         a = single_replication([0.8])
         b = single_replication([0.9])
-        merged = EigenSample(
-            s=a.s + b.s, t=a.t + b.t, ratio=[r.copy() for r in a.ratio + b.ratio]
-        )
+        merged = merge(a, b)
         ya = proposed_estimate(a, grid, 0.01, 0.4).y
         yb = proposed_estimate(b, grid, 0.01, 0.4).y
         ym = proposed_estimate(merged, grid, 0.01, 0.4).y
@@ -818,9 +887,7 @@ class TestProposedEstimate:
         grid = np.linspace(0.5, 1.3, 257)
         a = single_replication([0.8, 0.85, 0.9])
         b = single_replication([0.7])
-        merged = EigenSample(
-            s=a.s + b.s, t=a.t + b.t, ratio=[r.copy() for r in a.ratio + b.ratio]
-        )
+        merged = merge(a, b)
         ya = proposed_estimate(a, grid, 0.01, 0.4).y
         yb = proposed_estimate(b, grid, 0.01, 0.4).y
         ym = proposed_estimate(merged, grid, 0.01, 0.4).y
@@ -885,8 +952,9 @@ class TestProposedEstimate:
         # one replication lies wholly outside, one centre has infinite roots
         grid = np.linspace(0.85, 0.96, 1024)
         sample = replications(rng, [6, 4, 5], 0.84, 0.97)
-        sample.ratio[0][:3] = [5.0, -3.0, 1e200]
-        sample.ratio[1][:] = [2.0, 2.5, -1.0, 40.0]
+        first, second, _ = split(sample)
+        first[:3] = [5.0, -3.0, 1e200]
+        second[:] = [2.0, 2.5, -1.0, 40.0]
         for t_star in (3.8e-5, 1e-9):
             got = proposed_estimate(sample, grid, t_star, 0.95).y
             assert same_bits(got, dense_proposed(sample, grid, t_star, 0.95))

@@ -1,6 +1,7 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -247,6 +248,72 @@ class TestDggevBindings:
             for field in ("s", "t", "ratio"):
                 assert np.array_equal(_bits(getattr(a, field)), _bits(getattr(b, field)))
             assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
+
+    def test_overlapping_pins_share_one_count(self):
+        # A enters, B enters, A leaves, B looks, B leaves: B stays pinned after A
+        # has left, and the count before either pin comes back after both
+        blas = pencil._openblas
+        if blas is None:
+            pytest.skip("no OpenBLAS library is bound")
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with pencil.one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with pencil.one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b after a left"] = blas.get_num_threads()
+
+        old = blas.get_num_threads()
+        blas.set_num_threads(2)
+        try:
+            threads = [threading.Thread(target=f) for f in (a, b)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+            seen["after both"] = blas.get_num_threads()
+        finally:
+            blas.set_num_threads(old)
+        assert not any(th.is_alive() for th in threads)
+        assert seen == {"b after a left": 1, "after both": 2}
+
+    def test_many_overlapping_pins(self):
+        # more threads than cores entering and leaving pins at a short switch
+        # interval: every pinned thread sees one BLAS thread, and the count returns
+        blas = pencil._openblas
+        if blas is None:
+            pytest.skip("no OpenBLAS library is bound")
+        seen = set()
+
+        def pin_often():
+            for _ in range(200):
+                with pencil.one_blas_thread():
+                    seen.add(blas.get_num_threads())
+
+        old = blas.get_num_threads()
+        interval = sys.getswitchinterval()
+        blas.set_num_threads(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_often) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+            after = blas.get_num_threads()
+        finally:
+            sys.setswitchinterval(interval)
+            blas.set_num_threads(old)
+        assert not any(th.is_alive() for th in threads)
+        assert (seen, after, pencil._pin_depth) == ({1}, 2, 0)
 
     def test_ctypes_rejects_arrays_it_cannot_pass(self):
         if pencil.DGGEV != "ctypes":
