@@ -28,6 +28,7 @@ from .kde import (
     EigenSample,
     FitResult,
     Mode,
+    _bin_grid,
     _check_tau,
     bandwidth_t_star_details,
     count_outside,
@@ -131,11 +132,11 @@ class ExperimentConfig:
         if self.model.n > N_MAX:
             raise ValueError(f"model n must be <= {N_MAX}, got {self.model.n}")
         lo, hi = self.window
-        if not float(lo) < float(hi):
-            raise ValueError(f"window must be increasing, got {self.window}")
         object.__setattr__(self, "window", (float(lo), float(hi)))
         if not 16 <= self.points <= MAX_POINTS:
             raise ValueError(f"points must be in [16, {MAX_POINTS}], got {self.points}")
+        # the histogram's grid, checked here so a bad window fails before decomposing
+        _bin_grid(self.window, self.points)
         _check_tau(self.tau)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
@@ -303,6 +304,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     )
     ref_sample, ref_counts = sample_from_pairs(pairs)
     est_sample, est_counts = sample_from_pairs(pairs[: config.R])
+    del pairs  # both samples hold flat copies: free the per-record arrays
 
     def _histograms():
         reference = empirical_density(ref_sample, config.window, config.points)

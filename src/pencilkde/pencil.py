@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import SCIPY_DIR
-
 __all__ = [
     "HankelPencil",
     "SchurPairs",
@@ -186,69 +184,37 @@ def real_pairs(pairs: SchurPairs) -> RealPairs:
     return _keep_real(pairs.s, pairs.t, pairs.is_real)
 
 
-# LAPACK dggev, bound once per process, from an OpenBLAS numpy or scipy ships. numpy's
-# wheels (numpy >= 2) link an ILP64 OpenBLAS that exports it as scipy_dggev_64_, and
-# numpy has mapped that library already; scipy's wheels vendor an LP64 one, the only
-# GIL-free dggev beside older numpy. Called through ctypes, dggev releases the GIL,
-# so records decompose in parallel on threads, and no process has to import
-# scipy.linalg (about 6 MiB) for it. Without either library, f2py's wrapper, which
+# LAPACK dggev, bound once per process from the ILP64 OpenBLAS that numpy's wheels
+# link (numpy.libs/libscipy_openblas64_*.so, symbol scipy_dggev_64_), which numpy has
+# mapped already. Called through ctypes, dggev releases the GIL, so records decompose
+# in parallel on threads, and no process has to import scipy.linalg (about 6 MiB) for
+# it. Without that library (macOS, Windows and conda builds), f2py's wrapper, which
 # holds the GIL, is the fallback.
 
 _NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-# (directory, file pattern, symbol suffix, LAPACK's integer) of each library, in the
-# order tried: the first that exports dggev and the thread count calls is bound
-_OPENBLAS_LIBS = (
-    (_NUMPY_LIBS, "libscipy_openblas64_*.so*", "64_", np.int64),
-    (None if SCIPY_DIR is None else SCIPY_DIR.parent / "scipy.libs",
-     "libscipy_openblas*.so*", "", np.intc),
-)
 
 
 class _OpenBLAS(NamedTuple):
-    """The dggev, thread count calls and LAPACK integer type of one OpenBLAS library."""
+    """One OpenBLAS library: its dggev through ctypes and its thread count calls."""
 
     path: Path
     dggev: object
     get_num_threads: object
     set_num_threads: object
-    integer: type
 
 
-def _load_openblas(candidates):
-    """The first library of candidates whose symbols, suffixed, export dggev; or None.
-
-    candidates are (directory, file pattern, symbol suffix, LAPACK's integer)
-    tuples, as _OPENBLAS_LIBS; a directory of None has no library.
-    """
-    for libs, pattern, suffix, integer in candidates:
-        for path in sorted(libs.glob(pattern)) if libs is not None else ():
-            try:
-                lib = ctypes.CDLL(str(path))
-                fns = [getattr(lib, f"scipy_{name}{suffix}") for name in
-                       ("dggev_", "openblas_get_num_threads", "openblas_set_num_threads")]
-            except (OSError, AttributeError):
-                continue
-            get, set_ = fns[1:]
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return _OpenBLAS(path, *fns, integer)
-    return None
-
-
-def _ctypes_dggev(fn, integer: type):
-    """dggev(a, b) -> (alphar, alphai, beta, info) through LAPACK's symbol fn.
+def _ctypes_dggev(fn):
+    """dggev(a, b) -> (alphar, alphai, beta, info) through LAPACK's ILP64 symbol fn.
 
     a and b are C-ordered, symmetric p x p float64 arrays, so their C order is
-    their Fortran order; dggev overwrites them. LAPACK's integers are of the
-    numpy type integer: int64 in an ILP64 library, C int otherwise. JOBVL =
-    JOBVR = 'N' and lwork = 8p, the minimal workspace f2py's wrapper passes by
-    default: the bits depend on it. Each thread keeps its own workspace.
+    their Fortran order; dggev overwrites them. JOBVL = JOBVR = 'N' and
+    lwork = 8p, the minimal workspace f2py's wrapper passes by default: the
+    bits depend on it.
     """
     ptr = ctypes.c_void_p
     # 17 Fortran arguments by reference, then the two hidden string lengths
     fn.argtypes = [ctypes.c_char_p] * 2 + [ptr] * 15 + [ctypes.c_size_t] * 2
     fn.restype = None
-    local = threading.local()
 
     def dggev(a, b):
         p = a.shape[0]
@@ -256,23 +222,31 @@ def _ctypes_dggev(fn, integer: type):
             if not (m.dtype == np.float64 and m.shape == (p, p)
                     and m.flags.c_contiguous and m.flags.writeable):
                 raise ValueError("dggev needs writeable C-contiguous float64 p x p matrices")
-        if getattr(local, "p", None) != p:
-            # this thread's n, lwork, ldvl = ldvr and info, then work (8p) and the
-            # never-referenced vl = vr; local keeps them, so their addresses hold
-            ints = np.array([p, 8 * p, 1, 0], dtype=integer)
-            work = np.empty(9 * p)
-            n, lwork, ldv, info = (ints.ctypes.data + k * ints.itemsize for k in range(4))
-            w = work.ctypes.data
-            local.p, local.ints, local.work = p, ints, work
-            local.args = (n, ldv, w + 8 * p * work.itemsize, w, lwork, info)
-        n, ldv, v, w, lwork, info = local.args
-        out = np.empty((3, p))  # alphar, alphai, beta
-        o, row = out.ctypes.data, p * out.itemsize
+        ints = np.array([p, 8 * p, 1, 0], dtype=np.int64)  # n, lwork, ldvl = ldvr, info
+        n, lwork, ldv, info = (ints.ctypes.data + 8 * k for k in range(4))
+        # alphar, alphai and beta, then work (8p), then the never-referenced vl = vr
+        out = np.empty((12, p))
+        o, row = out.ctypes.data, 8 * p
         fn(b"N", b"N", n, a.ctypes.data, n, b.ctypes.data, n, o, o + row, o + 2 * row,
-           v, ldv, v, ldv, w, lwork, info, 1, 1)
-        return out[0], out[1], out[2], int(local.ints[3])
+           o + 11 * row, ldv, o + 11 * row, ldv, o + 3 * row, lwork, info, 1, 1)
+        return out[0], out[1], out[2], int(ints[3])
 
     return dggev
+
+
+def _load_openblas(libs: Path = _NUMPY_LIBS) -> _OpenBLAS | None:
+    """The first OpenBLAS in libs that exports dggev and the thread count calls; or None."""
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            dggev, get, set_ = [getattr(lib, f"scipy_{name}64_") for name in
+                                ("dggev_", "openblas_get_num_threads", "openblas_set_num_threads")]
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _OpenBLAS(path, _ctypes_dggev(dggev), get, set_)
+    return None
 
 
 def _f2py_dggev(a, b):
@@ -283,16 +257,9 @@ def _f2py_dggev(a, b):
     return ar, ai, beta, info
 
 
-def _bind_dggev(blas: _OpenBLAS | None) -> tuple:
-    """(dggev, binding name): blas's dggev through ctypes, or f2py's without a library."""
-    if blas is None:
-        return _f2py_dggev, "f2py"
-    return _ctypes_dggev(blas.dggev, blas.integer), "ctypes"
-
-
-_openblas = _load_openblas(_OPENBLAS_LIBS)
+_openblas = _load_openblas()
 # DGGEV names the binding real_pairs_fast calls: "ctypes" (GIL-free) or "f2py"
-_dggev, DGGEV = _bind_dggev(_openblas)
+_dggev, DGGEV = (_f2py_dggev, "f2py") if _openblas is None else (_openblas.dggev, "ctypes")
 
 
 # one_blas_thread's pins that are open, and the thread count the first saved
@@ -306,8 +273,8 @@ def one_blas_thread():
     """Pin the bound OpenBLAS to one thread inside the context, then restore its count.
 
     Threads that each run a QZ must not also split their BLAS calls, and a
-    matrix product must not depend on the machine's thread count: with
-    numpy's library bound, numpy's own products run on it too. The count is
+    matrix product must not depend on the machine's thread count: the bound
+    library is numpy's, so numpy's own products run on it too. The count is
     the process's, so pins that overlap share one: the first to enter saves
     the count and pins, and the last to leave restores it. Without a library
     this does nothing: the f2py binding runs serially.

@@ -82,14 +82,14 @@ print(loaded())
     # the f2py fallback of dggev is the one user of scipy.linalg in a run
     after = "[]" if pencil.DGGEV == "ctypes" else "['scipy', 'scipy.linalg']"
     assert (lines[0], lines[1], lines[3], lines[-1]) == ("[]", "[]", scipy.__version__, after)
-    # one OpenBLAS mapped: numpy's, which also serves dggev, and no copy from scipy.libs
+    # one OpenBLAS mapped: numpy's, which also serves dggev
     blas = pencil._openblas
-    if lines[2] != "None" and blas is not None and blas.path.parent.name == "numpy.libs":
+    if lines[2] != "None" and blas is not None:
         assert lines[2] == repr([str(blas.path)])
 
 
 def test_erf_falls_back_to_scipy_special(tmp_path):
-    # scipy's directory not found: erf from scipy.special (and dggev from f2py), same bytes
+    # scipy's directory not found: erf from scipy.special, same bytes
     model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
     cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64,
                            tau=0.5, seed=7, threads=1)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -332,13 +333,30 @@ class TestRun:
                 == c["blocks_total"]
             )
 
+    def test_drops_per_record_pairs_before_estimating(self, monkeypatch):
+        # both samples hold flat copies, so no record's RealPairs outlives them
+        refs = []
+        real_pairs_fast, estimate_pipeline = harness.real_pairs_fast, harness.estimate_pipeline
+
+        def keep_ref(data):
+            pairs = real_pairs_fast(data)
+            refs.append(weakref.ref(pairs.ratio))
+            return pairs
+
+        def all_dead(*args, **kwargs):
+            assert len(refs) == 40 and all(ref() is None for ref in refs)
+            return estimate_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "real_pairs_fast", keep_ref)
+        monkeypatch.setattr(harness, "estimate_pipeline", all_dead)
+        run(micro_config())
+
     def test_f2py_fallback_same_bits_one_worker(self, micro_report, monkeypatch, tmp_path):
         # as if no OpenBLAS were found: no library, f2py's dggev, no pool
-        assert pencil._load_openblas([(tmp_path, *c[1:]) for c in pencil._OPENBLAS_LIBS]) is None
-        dggev, name = pencil._bind_dggev(None)
+        assert pencil._load_openblas(tmp_path) is None
         monkeypatch.setattr(pencil, "_openblas", None)
-        monkeypatch.setattr(pencil, "_dggev", dggev)
-        monkeypatch.setattr(pencil, "DGGEV", name)
+        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev)
+        monkeypatch.setattr(pencil, "DGGEV", "f2py")
         # any pool would fail
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         report = run(micro_config(threads=4))
@@ -927,11 +945,14 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_simulate_huge_points_exits_before_decomposing(self, tmp_path, no_decompose):
+        # also increasing windows whose histogram grid has no distinct or finite bins
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(micro_config_dict(points=2**40)))
-        code, out, err = run_cli(["simulate", f"--config={cfg_path}", f"--out={tmp_path}/o"])
-        assert (code, out, no_decompose) == (2, "", [])
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for bad in ({"points": 2**40}, {"window": [0.5, 0.5000000000000001]},
+                    {"window": [-1e308, 1e308]}):
+            cfg_path.write_text(json.dumps(micro_config_dict(**bad)))
+            code, out, err = run_cli(["simulate", f"--config={cfg_path}", f"--out={tmp_path}/o"])
+            assert (code, out, no_decompose) == (2, "", []), bad
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["N_ref", "n"])
     def test_simulate_huge_size_exits_before_decomposing(self, key, tmp_path, no_decompose):

@@ -1,5 +1,8 @@
 """Hankel pencils, QZ diagonal pairs, and the Vandermonde back-solve."""
 
+import ctypes
+import importlib.util
+import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -338,43 +341,51 @@ class TestDggevBindings:
         assert real_pairs_fast(np.array([1.0, 0.0, -1.0, 0.0])).n_complex == 2
         assert real_pairs_fast(np.array([0.0, 0.0, 1.0, 0.0])).n_infinite >= 1
 
-    def test_missing_library_binds_f2py(self, tmp_path):
-        candidates = _hidden(pencil._OPENBLAS_LIBS, tmp_path)
-        for _, *rest in candidates:
-            assert pencil._load_openblas([(tmp_path, *rest)]) is None
-            assert pencil._load_openblas([(tmp_path / "absent", *rest)]) is None
-            assert pencil._load_openblas([(None, *rest)]) is None
-        assert pencil._load_openblas(candidates) is None
-        dggev, name = pencil._bind_dggev(None)
-        assert (dggev, name) == (pencil._f2py_dggev, "f2py")
+    def test_missing_library_binds_f2py(self, tmp_path, monkeypatch):
+        # an empty or absent directory, or one whose only file of the name does not
+        # load, has no library; pencil imported where none loads binds f2py's dggev
+        (tmp_path / "empty").mkdir()
+        assert pencil._load_openblas(tmp_path / "empty") is None
+        assert pencil._load_openblas(tmp_path / "absent") is None
+        (tmp_path / BLAS_NAME).write_bytes(b"not a library")
+        assert pencil._load_openblas(tmp_path) is None
 
-    def test_library_without_the_symbols_is_skipped(self):
-        # numpy's ILP64 library read with the LP64 names exports no scipy_dggev_
-        numpy_libs, pattern = pencil._OPENBLAS_LIBS[0][:2]
-        if not any(numpy_libs.glob(pattern)):
-            pytest.skip("numpy's OpenBLAS is not in numpy.libs")
-        assert pencil._load_openblas([(numpy_libs, pattern, "", np.intc)]) is None
+        def no_library(path, *args, **kwargs):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        bare = _fresh_pencil(monkeypatch)
+        assert (bare._openblas, bare._dggev, bare.DGGEV) == (None, bare._f2py_dggev, "f2py")
+
+    def test_library_without_the_symbols_is_skipped(self, tmp_path):
+        # a shared library that loads under the OpenBLAS name but exports no dggev
+        quadmath = sorted(pencil._NUMPY_LIBS.glob("libquadmath*.so*"))
+        if not quadmath:
+            pytest.skip("no libquadmath in numpy.libs")
+        shutil.copy(quadmath[0], tmp_path / BLAS_NAME)
+        ctypes.CDLL(str(tmp_path / BLAS_NAME))
+        assert pencil._load_openblas(tmp_path) is None
 
     @pytest.mark.parametrize("hidden", [0, 1, 2])
     def test_loader_order_same_bits(self, hidden, tmp_path, monkeypatch):
-        # the first `hidden` candidates hidden: the next one is bound, f2py after the last
-        libs = pencil._OPENBLAS_LIBS
-        candidates = _hidden(libs[:hidden], tmp_path) + list(libs[hidden:])
-        blas = pencil._load_openblas(candidates)
-        if hidden < len(libs):
-            directory, pattern = libs[hidden][:2]
-            if directory is None or not any(directory.glob(pattern)):
-                pytest.skip(f"no {pattern} in {directory}")
-            assert blas.path.parent == directory
-            assert blas.integer == libs[hidden][3]
+        # numpy.libs' library (0); the same library behind a file of its name that is
+        # not a library, which sorts first (1); that file alone, which leaves f2py (2)
+        blas = pencil._openblas
+        if hidden < 2 and blas is None:
+            pytest.skip("numpy's OpenBLAS is not in numpy.libs")
+        if hidden:
+            (tmp_path / BLAS_NAME).write_bytes(b"not a library")
+        if hidden == 1:
+            (tmp_path / "libscipy_openblas64_-1.so").symlink_to(blas.path)
+        bound = pencil._load_openblas(tmp_path) if hidden else pencil._load_openblas()
+        if hidden == 2:
+            assert bound is None
         else:
-            assert blas is None
-        dggev, name = pencil._bind_dggev(blas)
-        assert name == ("f2py" if blas is None else "ctypes")
+            assert bound.path == (blas.path if hidden == 0 else tmp_path / "libscipy_openblas64_-1.so")
         records = [generate(ExperimentConfig.from_json_file(CONFIGS / f"{n}.json").model, 0, r)
                    for n, n_rep in (("model1", 6), ("model2", 2)) for r in range(n_rep)]
         want = [real_pairs_fast(d) for d in records]
-        monkeypatch.setattr(pencil, "_dggev", dggev)
+        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev if bound is None else bound.dggev)
         for d, a in zip(records, want, strict=True):
             b = real_pairs_fast(d)
             for field in ("s", "t", "ratio"):
@@ -382,12 +393,17 @@ class TestDggevBindings:
             assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
 
 
-def _hidden(candidates, tmp_path) -> list:
-    """candidates with their directory replaced by tmp_path, which holds a file of each
-    name pattern that is not a library."""
-    for _, pattern, *_ in candidates:
-        (tmp_path / pattern.replace("*", "-0", 1).replace("*", "")).write_bytes(b"not a library")
-    return [(tmp_path, *rest) for _, *rest in candidates]
+# a file name the loader globs for, sorted before any real library's
+BLAS_NAME = "libscipy_openblas64_-0.so"
+
+
+def _fresh_pencil(monkeypatch):
+    """A second pencil module, run now from pencil's source, as a fresh import would."""
+    spec = importlib.util.spec_from_file_location("pencil_fresh", pencil.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestVandermondeSolve:
