@@ -19,16 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pencil
 from .harness import (
     ExperimentConfig,
     PhaseError,
     _csv,
     _fit_params,
+    _metadata_json,
     _mode_payload,
     _modes_json,
     available_cpus,
     decompose_records,
+    decompose_workers,
     emit,
     estimate_pipeline,
     run,
@@ -157,7 +159,8 @@ def _cmd_estimate(args) -> int:
     if not path.exists():
         raise ValueError(f"dataset not found: {path}")
     dataset = read_dataset_json(path) if path.suffix == ".json" else read_dataset_csv(path)
-    pairs = decompose_records(dataset.data.__getitem__, len(dataset.data), available_cpus())
+    threads = available_cpus()
+    pairs = decompose_records(dataset.data.__getitem__, len(dataset.data), threads)
     sample, counts = sample_from_pairs(pairs)
     result = estimate_pipeline(sample, window, args.points, args.tau, args.method)
 
@@ -177,6 +180,10 @@ def _cmd_estimate(args) -> int:
         "t_plus": result["t_plus"],
     }
     (out / "params.json").write_text(json.dumps(params, sort_keys=True, indent=2) + "\n")
+    workers = decompose_workers(threads, len(dataset.data))
+    (out / "metadata.json").write_text(
+        _metadata_json(result["fit"], threads=threads, workers=workers, dggev=pencil.DGGEV)
+    )
     print(f"modes: {json.dumps(_mode_payload(modes))}")
     return EXIT_OK
 

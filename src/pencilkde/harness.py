@@ -354,6 +354,30 @@ def _fit_params(fit: FitResult | None) -> dict:
     return {name: None if fit is None else getattr(fit, name) for name in ("t0", "mu0", "rho0")}
 
 
+def _metadata_json(fit: FitResult | None, **facts) -> str:
+    """metadata.json text: facts, the erf binding and versions, and the fit's diagnostics if any."""
+    metadata = {
+        **facts,
+        "erf": ERF,
+        "versions": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "scipy": scipy_version(),
+            "pencilkde": _pkg_version,
+        },
+    }
+    if fit is not None:
+        metadata["fit"] = {
+            "nfev": list(fit.nfev),
+            "converged_starts": fit.n_converged,
+            "at_t_cap": fit.at_t_cap,
+            "at_rho_cap": fit.at_rho_cap,
+            "rho_near_boundary": fit.rho_near_boundary,
+            "search_bins": fit.search_bins,
+        }
+    return json.dumps(metadata, sort_keys=True, indent=2) + "\n"
+
+
 def _csv(header, rows) -> str:
     """CSV text: the header line, then one line of _fmt values per row."""
     lines = [",".join(header)]
@@ -413,27 +437,8 @@ def emit(report: ExperimentReport, out_dir) -> list:
     }
     _write(out / "params.json", json.dumps(params, sort_keys=True, indent=2) + "\n")
 
-    metadata = {
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "workers": report.workers,
-        "dggev": report.dggev,
-        "erf": ERF,
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy_version(),
-            "pencilkde": _pkg_version,
-        },
-        "timings": report.timings,
-    }
-    if report.fit is not None:
-        metadata["fit"] = {
-            "nfev": list(report.fit.nfev),
-            "converged_starts": report.fit.n_converged,
-            "at_t_cap": report.fit.at_t_cap,
-            "at_rho_cap": report.fit.at_rho_cap,
-            "rho_near_boundary": report.fit.rho_near_boundary,
-        }
-    _write(out / "metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
+    _write(out / "metadata.json", _metadata_json(
+        report.fit, seed=cfg.seed, threads=cfg.threads, workers=report.workers,
+        dggev=report.dggev, timings=report.timings,
+    ))
     return written

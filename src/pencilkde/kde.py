@@ -27,6 +27,10 @@ CHUNK = 512
 _EXP_ZERO = 750.0
 # multi-start count for the reference fit
 N_STARTS = 6
+# a histogram of n bins with k = n // COARSE_BINS >= _MIN_MERGE, k dividing n,
+# runs the reference fit's starts on a copy with k adjacent bins merged
+COARSE_BINS = 1024
+_MIN_MERGE = 4
 GL_NODES = 128
 WINDOW_EXTEND = 0.20
 # most grid points or bins accepted; the paper uses at most 8,192
@@ -126,13 +130,15 @@ class FitResult:
     rho0: float
     objective: float
     converged: bool = True
-    # diagnostics for metadata.json: residual evaluations per start, starts
-    # that converged, whether t0 sits at the variance cap span^2, and whether
-    # the minimizer's |atanh rho| sits on its bound
+    # diagnostics for metadata.json: residual evaluations per search (the
+    # starts, then the polish if any), searches that converged, whether t0
+    # sits at the variance cap span^2, whether the minimizer's |atanh rho|
+    # sits on its bound, and the bins the starts searched
     nfev: tuple = ()
     n_converged: int = 0
     at_t_cap: bool = False
     at_rho_cap: bool = False
+    search_bins: int = 0
 
     @property
     def rho_near_boundary(self) -> bool:
@@ -408,6 +414,24 @@ def _levenberg_marquardt(objective, x, lower, upper):
     return x, fun, nfev, False
 
 
+def _coarse_copy(centers, target, width):
+    """(centers, target, width) with k = n // COARSE_BINS adjacent bins merged, or None.
+
+    A merged bin's centre and density are the means of its k bins', and its
+    width is k times theirs. None, and the starts search the histogram
+    itself, unless k >= _MIN_MERGE divides n and the copy keeps at least 8
+    nonzero bins, as fit_reference requires of the histogram.
+    """
+    n = centers.size
+    k = n // COARSE_BINS
+    if k < _MIN_MERGE or n % k:
+        return None
+    target = target.reshape(-1, k).mean(axis=1)
+    if np.count_nonzero(target) < 8:
+        return None
+    return centers.reshape(-1, k).mean(axis=1), target, k * width
+
+
 def fit_reference(h_e: DensityGrid) -> FitResult:
     """Least-squares fit of a single ratio density to the empirical histogram.
 
@@ -417,9 +441,15 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     The search is the package's own, because importing scipy.optimize would
     cost every process about 17 MiB of memory and 0.2 s. Its box keeps log t
     in [-41, log t_cap], rounded down so that t0 <= t_cap, and |atanh rho|
-    <= 11.8; mu is free. nfev counts each start's residual evaluations,
+    <= 11.8; mu is free. nfev counts each search's residual evaluations,
     Jacobian columns included, and FitNonConvergenceError means that every
-    start reached the iteration cap.
+    search reached the iteration cap.
+
+    A histogram that has a coarse copy (_coarse_copy; 8,192 bins have one,
+    2,048 or fewer do not) is searched coarse to fine: the starts run on the
+    copy, and one more search from the best of them, on the histogram
+    itself, gives the reported fit and objective. The starts, the box and
+    t_cap still come from the histogram itself.
 
     The variance is restricted to t <= span^2 where span is the histogram
     window width. Without the bound the problem is not identified: densities
@@ -455,6 +485,8 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     assert len(starts) == N_STARTS
 
     objective = _FitObjective(centers, target, width, t_cap)
+    coarse = _coarse_copy(centers, target, width)
+    search = objective if coarse is None else _FitObjective(*coarse, t_cap)
     lower = np.array([-_LOG_T_CAP, -np.inf, -_ARHO_CAP])
     upper = np.array([_log_t_max(t_cap), np.inf, _ARHO_CAP])
     best_x = best_fun = None
@@ -462,9 +494,13 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
     n_converged = 0
     for x0 in starts:
         x0 = np.clip(x0, lower, upper)
-        x, fun, n, success = _levenberg_marquardt(objective, x0, lower, upper)
+        x, fun, n, success = _levenberg_marquardt(search, x0, lower, upper)
         if best_fun is None or fun < best_fun:
             best_x, best_fun = x, fun
+        nfev.append(n)
+        n_converged += success
+    if coarse is not None:
+        best_x, best_fun, n, success = _levenberg_marquardt(objective, best_x, lower, upper)
         nfev.append(n)
         n_converged += success
 
@@ -479,9 +515,10 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
         n_converged=n_converged,
         at_t_cap=t0 >= t_cap * (1.0 - _CAP_RTOL),
         at_rho_cap=abs(float(best_x[2])) >= _ARHO_CAP,
+        search_bins=centers.size if coarse is None else coarse[0].size,
     )
     if not fit.converged:
-        raise FitNonConvergenceError("no Levenberg-Marquardt start converged", fit)
+        raise FitNonConvergenceError("no Levenberg-Marquardt search converged", fit)
     return fit
 
 

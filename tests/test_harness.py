@@ -497,7 +497,10 @@ class TestEmit:
             "at_t_cap": fit.at_t_cap,
             "at_rho_cap": fit.at_rho_cap,
             "rho_near_boundary": 1.0 - abs(fit.rho0) < 1e-6,
+            "search_bins": fit.search_bins,
         }
+        # 64 points take no coarse search: the starts search every bin, with no polish
+        assert fit.search_bins == micro_report.config.points
         assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
         assert 1 <= fit.n_converged <= kde.N_STARTS
         params = json.loads((tmp_path / "params.json").read_text())
@@ -509,6 +512,7 @@ class TestEmit:
             text = (tmp_path / name).read_text()
             assert "nfev" not in text and "converged_starts" not in text
             assert "at_rho_cap" not in text and "rho_near_boundary" not in text
+            assert "search_bins" not in text
 
     def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
         emit(run(micro_config(method="gaussian")), tmp_path)
@@ -849,6 +853,28 @@ class TestCli:
         assert (out / "modes.json").exists()
         assert (out / "params.json").exists()
         assert json.loads((out / "params.json").read_text())["method"] == "proposed"
+
+    def test_estimate_fit_diagnostics_in_metadata_only(self, dataset_csv, tmp_path):
+        out = tmp_path / "est"
+        code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--window=0.3,1.1",
+                              "--points=64", "--tau=0.5", f"--out={out}"])
+        assert code == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        keys = {"nfev", "converged_starts", "at_t_cap", "at_rho_cap", "rho_near_boundary",
+                "search_bins"}
+        assert set(meta["fit"]) == keys
+        assert len(meta["fit"]["nfev"]) == kde.N_STARTS and meta["fit"]["search_bins"] == 64
+        assert meta["workers"] == harness.decompose_workers(available_cpus(), 40)
+        assert meta["dggev"] == pencil.DGGEV
+        params = (out / "params.json").read_text()
+        assert not any(key in params for key in keys)
+
+    def test_estimate_gaussian_metadata_has_no_fit(self, dataset_csv, tmp_path):
+        out = tmp_path / "est"
+        code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--method=gaussian",
+                              "--window=0.3,1.1", "--points=64", "--tau=0.5", f"--out={out}"])
+        assert code == 0
+        assert "fit" not in json.loads((out / "metadata.json").read_text())
 
     def test_estimate_decomposes_on_the_pool(self, dataset_csv, tmp_path, pool_sizes):
         if pencil.DGGEV != "ctypes" or available_cpus() == 1:

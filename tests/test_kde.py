@@ -157,11 +157,11 @@ def model1_like_histogram():
     return synthetic_histogram(rng, [0.8, 0.9, 0.95], [1, 1, 1], 0.01, (0.75, 1.0), 256)
 
 
-def model2_like_histogram():
-    """Five peaks in model2's window; rho0 runs to its cap. 2048 bins in place of 8192."""
+def model2_like_histogram(bins=2048):
+    """Five peaks in model2's window; rho0 runs to its cap. 2048 bins by default, not 8192."""
     rng = np.random.default_rng(2)
     return synthetic_histogram(
-        rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), 2048
+        rng, [0.88, 0.9, 0.91, 0.92, 0.94], [1, 10, 10, 10, 1], 2e-3, (0.85, 0.96), bins
     )
 
 
@@ -776,6 +776,101 @@ class TestFitReferenceObjective:
         assert len(fit.nfev) == kde.N_STARTS and all(n > 0 for n in fit.nfev)
         assert 1 <= fit.n_converged <= kde.N_STARTS
         assert not fit.at_t_cap
+
+
+def counted_searches(monkeypatch):
+    """The objectives _levenberg_marquardt is called with, in call order, as fit_reference runs."""
+    calls = []
+
+    def counted(objective, x0, lower, upper):
+        calls.append(objective)
+        return levenberg_marquardt(objective, x0, lower, upper)
+
+    levenberg_marquardt = kde._levenberg_marquardt
+    monkeypatch.setattr(kde, "_levenberg_marquardt", counted)
+    return calls
+
+
+class TestCoarseSearch:
+    """fit_reference searches a histogram of 8,192 bins on 1,024 merged bins, then polishes."""
+
+    @pytest.fixture(scope="class")
+    def model2_histogram(self, model2_pairs):
+        sample, grid = model2_pairs
+        return empirical_density(sample, (0.85, 0.96), grid.size)
+
+    def full_search(self, h_e, monkeypatch):
+        with monkeypatch.context() as m:
+            # k = n // COARSE_BINS = 0: the starts search the histogram itself
+            m.setattr(kde, "COARSE_BINS", kde.MAX_POINTS + 1)
+            return fit_reference(h_e)
+
+    @pytest.mark.parametrize("histogram", ["model2_pairs", "model2_like"])
+    def test_matches_the_full_search(self, histogram, model2_histogram, monkeypatch):
+        h_e = model2_histogram if histogram == "model2_pairs" else model2_like_histogram(8192)
+        assert h_e.x.size == 8192
+        want = self.full_search(h_e, monkeypatch)
+        calls = counted_searches(monkeypatch)
+        got = fit_reference(h_e)
+        assert got.objective <= want.objective * (1.0 + 1e-12)
+        assert got.at_t_cap == want.at_t_cap
+        assert got.rho_near_boundary == want.rho_near_boundary
+        if histogram == "model2_pairs":
+            assert got.at_rho_cap == want.at_rho_cap
+        # on the synthetic histogram both searches end where rho -> -1 and the
+        # objective is flat to an ulp: the full search stops at |atanh rho0| =
+        # 11.34 and the coarse one on the bound 11.8, t0 7e-9 apart
+        # six starts on the merged copy, then the polish on the histogram itself
+        assert [c.x.size for c in calls] == [kde.COARSE_BINS] * kde.N_STARTS + [8192]
+        assert len(got.nfev) == kde.N_STARTS + 1 and got.search_bins == kde.COARSE_BINS
+        assert want.search_bins == 8192 and len(want.nfev) == kde.N_STARTS
+
+    def test_polish_reports_the_full_objective(self, model2_histogram):
+        h_e = model2_histogram
+        fit = fit_reference(h_e)
+        width = float(h_e.x[1] - h_e.x[0])
+        t_cap = (float(h_e.x[-1] - h_e.x[0]) + width) ** 2
+        objective = kde._FitObjective(h_e.x, h_e.y, width, t_cap)
+        th = np.array([math.log(fit.t0), fit.mu0, math.atanh(fit.rho0)])
+        assert objective.residuals(th)[0] == pytest.approx(fit.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("histogram", ["model1", "model2"])
+    def test_small_histograms_search_every_bin(self, histogram, monkeypatch):
+        h_e = model1_like_histogram() if histogram == "model1" else model2_like_histogram()
+        assert h_e.x.size in (256, 2048)
+        calls = counted_searches(monkeypatch)
+        fit = fit_reference(h_e)
+        assert len(calls) == kde.N_STARTS and all(c.x.size == h_e.x.size for c in calls)
+        assert fit.search_bins == h_e.x.size and len(fit.nfev) == kde.N_STARTS
+
+    def test_coarse_copy_merges_adjacent_bins(self):
+        h_e = model2_like_histogram(8192)
+        width = float(h_e.x[1] - h_e.x[0])
+        centers, target, coarse_width = kde._coarse_copy(h_e.x, h_e.y, width)
+        assert centers.size == target.size == kde.COARSE_BINS and coarse_width == 8 * width
+        assert centers[0] == pytest.approx(h_e.x[:8].mean(), rel=1e-15)
+        assert target[100] == pytest.approx(h_e.y[800:808].mean(), rel=1e-15)
+        # the merged copy keeps the histogram's mass
+        assert target.sum() * coarse_width == pytest.approx(h_e.y.sum() * width, rel=1e-12)
+
+    @pytest.mark.parametrize("bins", [8192, 5001])
+    def test_histograms_without_a_coarse_copy(self, bins, monkeypatch):
+        # at 8,192 bins: twelve nonzero bins fall into two merged bins, too few
+        # for a fit; 5,001 bins have no k >= 4 that divides them
+        window = (0.85, 0.96)
+        if bins == 8192:
+            x = kde._bin_grid(window, bins)[1]
+            y = np.zeros(bins)
+            y[4090:4102] = np.exp(-0.5 * ((np.arange(12) - 5.5) / 3.0) ** 2)
+            h_e = DensityGrid(x=x, y=y)
+            assert np.count_nonzero(y.reshape(-1, 8).sum(axis=1)) == 2
+        else:
+            h_e = model2_like_histogram(bins)
+        assert kde._coarse_copy(h_e.x, h_e.y, float(h_e.x[1] - h_e.x[0])) is None
+        calls = counted_searches(monkeypatch)
+        fit = fit_reference(h_e)
+        assert len(calls) == kde.N_STARTS and all(c.x.size == bins for c in calls)
+        assert fit.search_bins == bins and len(fit.nfev) == kde.N_STARTS
 
 
 class TestBandwidthTStar:
