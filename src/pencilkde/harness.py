@@ -27,16 +27,19 @@ from .kde import (
     DensityGrid,
     EigenSample,
     FitResult,
+    GaussianPlan,
     Mode,
     _bin_grid,
     _check_tau,
     bandwidth_t_star_details,
+    binned_gaussian_estimate,
     count_outside,
     empirical_density,
     extract_modes,
     fit_reference,
     gaussian_bandwidth,
-    gaussian_estimate,
+    gaussian_estimate,  # not called here; perfbench's tracer wraps it by this name
+    gaussian_plan,
     pooled_correlation,
     proposed_estimate,
 )
@@ -185,9 +188,13 @@ class ExperimentReport:
     skipped_components: int
     counts: dict
     timings: dict = field(default_factory=dict)
-    # the decomposition's threads and binding of dggev, for metadata.json
+    # the decomposition's threads and binding of dggev, and how the Gaussian
+    # estimate was evaluated, for metadata.json
     workers: int = 1
     dggev: str = ""
+    gaussian_plan: GaussianPlan | None = None
+    # the first R records' eigenvalues, which both estimates smooth
+    sample: EigenSample | None = None
 
     @property
     def modes(self) -> list:
@@ -252,23 +259,26 @@ def sample_from_pairs(pairs: list) -> tuple:
 def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, method: str):
     """Fit, bandwidths, estimates, and modes from a decomposed sample.
 
-    Returns a dict with keys empirical, gaussian, proposed, fit, rho_hat,
-    t_star, t_plus, modes_gaussian, modes_proposed, skipped_components. The
+    Returns a dict with keys empirical, gaussian, gaussian_plan, proposed,
+    fit, rho_hat, t_star, t_plus, modes_gaussian, modes_proposed,
+    skipped_components. The Gaussian estimate is the binned one
+    (binned_gaussian_estimate); gaussian_plan says how it was evaluated. The
     bound OpenBLAS runs on one thread meanwhile, so the fit's and the
     correlation's matrix products have the same bits on any machine.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     with pencil.one_blas_thread():
-        out: dict = dict.fromkeys(("gaussian", "proposed", "fit", "rho_hat", "t_star", "t_plus",
-                                   "modes_gaussian", "modes_proposed"))
+        out: dict = dict.fromkeys(("gaussian", "gaussian_plan", "proposed", "fit", "rho_hat",
+                                   "t_star", "t_plus", "modes_gaussian", "modes_proposed"))
         out["skipped_components"] = 0
         h_emp = empirical_density(sample, window, points)
         out["empirical"] = h_emp
         grid_x = h_emp.x
         if method in ("gaussian", "both"):
             out["t_plus"] = gaussian_bandwidth(sample)
-            out["gaussian"] = gaussian_estimate(sample, grid_x, out["t_plus"])
+            out["gaussian"] = binned_gaussian_estimate(sample, grid_x, out["t_plus"])
+            out["gaussian_plan"] = gaussian_plan(grid_x, out["t_plus"])
             out["modes_gaussian"] = extract_modes(out["gaussian"], tau)
         if method in ("proposed", "both"):
             out["fit"] = fit_reference(h_emp)
@@ -332,7 +342,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         config=config, reference=reference, counts=counts, timings=timings,
-        workers=decompose_workers(config.threads, config.N_ref), dggev=pencil.DGGEV, **est
+        workers=decompose_workers(config.threads, config.N_ref), dggev=pencil.DGGEV,
+        sample=est_sample, **est
     )
 
 
@@ -354,8 +365,9 @@ def _fit_params(fit: FitResult | None) -> dict:
     return {name: None if fit is None else getattr(fit, name) for name in ("t0", "mu0", "rho0")}
 
 
-def _metadata_json(fit: FitResult | None, **facts) -> str:
-    """metadata.json text: facts, the erf binding and versions, and the fit's diagnostics if any."""
+def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None, **facts) -> str:
+    """metadata.json text: facts, the erf binding and versions, and the fit's and the
+    Gaussian estimate's diagnostics if any."""
     metadata = {
         **facts,
         "erf": ERF,
@@ -375,6 +387,8 @@ def _metadata_json(fit: FitResult | None, **facts) -> str:
             "rho_near_boundary": fit.rho_near_boundary,
             "search_bins": fit.search_bins,
         }
+    if gaussian is not None:
+        metadata["gaussian"] = asdict(gaussian)
     return json.dumps(metadata, sort_keys=True, indent=2) + "\n"
 
 
@@ -438,7 +452,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
     _write(out / "params.json", json.dumps(params, sort_keys=True, indent=2) + "\n")
 
     _write(out / "metadata.json", _metadata_json(
-        report.fit, seed=cfg.seed, threads=cfg.threads, workers=report.workers,
-        dggev=report.dggev, timings=report.timings,
+        report.fit, report.gaussian_plan, seed=cfg.seed, threads=cfg.threads,
+        workers=report.workers, dggev=report.dggev, timings=report.timings,
     ))
     return written

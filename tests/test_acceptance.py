@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 
 from pencilkde.harness import ExperimentConfig, emit, run
-from pencilkde.kde import EigenSample, gaussian_estimate
+from pencilkde.kde import EigenSample, extract_modes, gaussian_estimate
 from pencilkde.multiexp import noiseless
 from pencilkde.pencil import build_pencil, qz, real_pairs, vandermonde_solve
 from pencilkde.pde import residual, singular_mask
@@ -377,6 +377,20 @@ def test_criterion_11_pooled_correlation_limit(model2_runs, capsys):
     reports, _ = model2_runs
     rho_hats = [r.rho_hat for r in reports.values()]
     _report(capsys, 11, all(rh >= 0.9 for rh in rho_hats), f"rho_hat {rho_hats}")
+
+
+def test_binned_gaussian_modes_are_the_exact_sums(model1_runs, model2_runs):
+    # the studies' Gaussian estimates are binned; on every seed the exact sum over the
+    # same sample has the same modes, so criterion 09's gaussian-fail count is the exact
+    # sum's as well
+    for reports in (model1_runs[0], model2_runs[0]):
+        for seed, report in reports.items():
+            assert report.gaussian_plan.path == "binned", seed
+            exact = gaussian_estimate(report.sample, report.empirical.x, report.t_plus)
+            want = _mode_positions(extract_modes(exact, report.config.tau))
+            assert np.array_equal(_mode_positions(report.modes_gaussian), want), seed
+            error = np.max(np.abs(report.gaussian.y - exact.y)) / exact.y.max()
+            assert error <= 1e-5, (seed, error)
 
 
 def test_criterion_12_thread_determinism(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every exported name resolves; a run, its emit and an estimate load none of scipy,
-scipy.special, scipy.optimize, scipy.linalg or multiprocessing, a serial run neither
-numpy.ma nor concurrent.futures nor a second OpenBLAS; erf falls back to scipy.special's."""
+scipy.special, scipy.optimize, scipy.linalg, scipy.fft or multiprocessing, a serial run
+neither numpy.ma nor concurrent.futures nor a second OpenBLAS, but numpy.fft; erf falls
+back to scipy.special's."""
 
 import hashlib
 import importlib
@@ -56,7 +57,8 @@ import numpy as np
 from pencilkde import cli
 from pencilkde.harness import ExperimentConfig, emit, run
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
-names = ("scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "multiprocessing")
+names = ("scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.fft",
+         "multiprocessing")
 loaded = lambda: [m for m in names if m in sys.modules]
 print(loaded())
 model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
@@ -65,6 +67,7 @@ cfg = ExperimentConfig(model=model, R=20, N_ref=40, window=(0.3, 1.1), points=64
 with tempfile.TemporaryDirectory() as out:
     emit(run(cfg), out)
 print([m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules])
+print([m for m in ("numpy.fft", "scipy.fft") if m in sys.modules])
 maps = Path("/proc/self/maps")
 print(sorted({line.split()[-1] for line in maps.read_text().splitlines()
               if "openblas" in line}) if maps.exists() else None)
@@ -81,11 +84,13 @@ print(loaded())
 """)
     # the f2py fallback of dggev is the one user of scipy.linalg in a run
     after = "[]" if pencil.DGGEV == "ctypes" else "['scipy', 'scipy.linalg']"
-    assert (lines[0], lines[1], lines[3], lines[-1]) == ("[]", "[]", scipy.__version__, after)
+    assert (lines[0], lines[1], lines[4], lines[-1]) == ("[]", "[]", scipy.__version__, after)
+    # the binned Gaussian estimate transforms with numpy's own pocketfft
+    assert lines[2] == "['numpy.fft']"
     # one OpenBLAS mapped: numpy's, which also serves dggev
     blas = pencil._openblas
-    if lines[2] != "None" and blas is not None:
-        assert lines[2] == repr([str(blas.path)])
+    if lines[3] != "None" and blas is not None:
+        assert lines[3] == repr([str(blas.path)])
 
 
 def test_erf_falls_back_to_scipy_special(tmp_path):

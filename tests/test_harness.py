@@ -514,9 +514,27 @@ class TestEmit:
             assert "at_rho_cap" not in text and "rho_near_boundary" not in text
             assert "search_bins" not in text
 
+    def test_gaussian_diagnostics_in_metadata_only(self, micro_report, tmp_path):
+        emit(micro_report, tmp_path)
+        plan = micro_report.gaussian_plan
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["gaussian"] == {"path": "binned", "fft_len": plan.fft_len,
+                                    "refine": plan.refine, "reach_bins": plan.reach_bins}
+        # 64 points at sd / spacing of about 9 are binned on a refined grid
+        assert plan == kde.gaussian_plan(micro_report.empirical.x, micro_report.t_plus)
+        assert plan.refine > 1 and plan.fft_len >= 63 * plan.refine + 2 * plan.reach_bins + 1
+        for name in ("densities.csv", "modes.json", "params.json"):
+            text = (tmp_path / name).read_text()
+            assert not any(key in text for key in ("fft_len", "refine", "reach_bins", "binned"))
+
     def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
         emit(run(micro_config(method="gaussian")), tmp_path)
-        assert "fit" not in json.loads((tmp_path / "metadata.json").read_text())
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert "fit" not in meta and meta["gaussian"]["path"] == "binned"
+
+    def test_no_gaussian_diagnostics_without_a_gaussian_estimate(self, tmp_path):
+        emit(run(micro_config(method="proposed")), tmp_path)
+        assert "gaussian" not in json.loads((tmp_path / "metadata.json").read_text())
 
 
 class TestCli:
@@ -866,6 +884,7 @@ class TestCli:
         assert len(meta["fit"]["nfev"]) == kde.N_STARTS and meta["fit"]["search_bins"] == 64
         assert meta["workers"] == harness.decompose_workers(available_cpus(), 40)
         assert meta["dggev"] == pencil.DGGEV
+        assert "gaussian" not in meta
         params = (out / "params.json").read_text()
         assert not any(key in params for key in keys)
 
@@ -874,7 +893,13 @@ class TestCli:
         code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--method=gaussian",
                               "--window=0.3,1.1", "--points=64", "--tau=0.5", f"--out={out}"])
         assert code == 0
-        assert "fit" not in json.loads((out / "metadata.json").read_text())
+        meta = json.loads((out / "metadata.json").read_text())
+        assert "fit" not in meta
+        assert set(meta["gaussian"]) == {"path", "fft_len", "refine", "reach_bins"}
+        assert meta["gaussian"]["path"] == "binned" and meta["gaussian"]["refine"] > 1
+        for name in ("density.csv", "modes.json", "params.json"):
+            text = (out / name).read_text()
+            assert not any(key in text for key in ("fft_len", "refine", "reach_bins", "binned"))
 
     def test_estimate_decomposes_on_the_pool(self, dataset_csv, tmp_path, pool_sizes):
         if pencil.DGGEV != "ctypes" or available_cpus() == 1:

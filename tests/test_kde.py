@@ -12,18 +12,27 @@ from scipy import special
 from scipy.integrate import trapezoid
 
 from pencilkde import kde, pde, ratio_density
-from pencilkde.harness import ExperimentConfig, decompose_replications, sample_from_pairs
+from pencilkde.harness import (
+    ExperimentConfig,
+    available_cpus,
+    decompose_replications,
+    estimate_pipeline,
+    sample_from_pairs,
+)
+from pencilkde.multiexp import SignalModel
 from pencilkde.kde import (
     DensityGrid,
     EigenSample,
     FitResult,
     bandwidth_t_star_details,
+    binned_gaussian_estimate,
     count_outside,
     empirical_density,
     extract_modes,
     fit_reference,
     gaussian_bandwidth,
     gaussian_estimate,
+    gaussian_plan,
     pooled_correlation,
     proposed_estimate,
 )
@@ -391,6 +400,131 @@ class TestGaussianEstimate:
         yb = gaussian_estimate(b, grid, 0.03).y
         ym = gaussian_estimate(merged, grid, 0.03).y
         assert np.array_equal(ym, (ya + yb) / 2.0)
+
+
+@pytest.fixture(scope="module", params=[("model1", 0), ("model1", 1), ("model2", 0), ("model2", 1)],
+                ids=lambda p: f"{p[0]}-seed{p[1]}")
+def paper_estimation(request):
+    """A paper config at a seed and its estimation sample, the first R records, as in run()."""
+    name, seed = request.param
+    config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
+    pairs = decompose_replications(config.model, seed, config.R, available_cpus())
+    return config, sample_from_pairs(pairs)[0]
+
+
+def relative_error(binned, exact):
+    """max |binned - exact| over the exact estimate's peak."""
+    return float(np.max(np.abs(binned.y - exact.y)) / exact.y.max())
+
+
+def mode_positions(grid, tau):
+    return [m.x for m in extract_modes(grid, tau)]
+
+
+class TestBinnedGaussian:
+    def test_paper_configs_match_the_exact_sum(self, paper_estimation):
+        config, sample = paper_estimation
+        grid = kde._bin_grid(config.window, config.points)[1]
+        t = gaussian_bandwidth(sample)
+        binned = binned_gaussian_estimate(sample, grid, t)
+        exact = gaussian_estimate(sample, grid, t)
+        assert relative_error(binned, exact) <= 1e-5
+        assert mode_positions(binned, config.tau) == mode_positions(exact, config.tau)
+
+    def test_paper_configs_take_the_binned_path(self, paper_estimation):
+        config, sample = paper_estimation
+        est = estimate_pipeline(sample, config.window, config.points, config.tau, "gaussian")
+        plan = est["gaussian_plan"]
+        assert plan == gaussian_plan(est["empirical"].x, est["t_plus"])
+        assert plan.path == "binned" and plan.refine >= 1 and plan.reach_bins > 0
+        assert config.points <= plan.fft_len <= kde.MAX_FFT
+
+    def test_coarse_grid_is_refined(self):
+        # 64 points at sd / spacing of about 9: binned on the grid itself, the error is 1.3e-3
+        model = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
+        grid = kde._bin_grid((0.3, 1.1), 64)[1]
+        for seed in (0, 7):
+            sample, _ = sample_from_pairs(decompose_replications(model, seed, 20))
+            t = gaussian_bandwidth(sample)
+            assert 8.0 < math.sqrt(t) / (grid[1] - grid[0]) < 10.0
+            binned = binned_gaussian_estimate(sample, grid, t)
+            exact = gaussian_estimate(sample, grid, t)
+            assert relative_error(binned, exact) <= 1e-5
+            assert gaussian_plan(grid, t).refine > 1
+            assert mode_positions(binned, 0.5) == mode_positions(exact, 0.5)
+
+    def test_empty_tails_are_zero_not_negative(self):
+        # the transform leaves about -1e-15 in the empty tails (1,768 of 4,096 values here)
+        pts = np.random.default_rng(0).normal(0.9, 0.005, 200)
+        centres = kde._bin_grid((0.5, 1.5), 4096)[1]
+        binned = binned_gaussian_estimate(single_replication(pts), centres, 2e-5)
+        assert same_bits(binned.x, centres)
+        assert np.all(np.isfinite(binned.y)) and np.all(binned.y >= 0.0)
+        assert np.count_nonzero(binned.y == 0.0) > 1000
+        exact = gaussian_estimate(single_replication(pts), centres, 2e-5)
+        assert relative_error(binned, exact) <= 1e-5
+
+    def test_far_off_eigenvalues(self):
+        # dropped before scaling: no overflow to inf, no cast of a value past the int64 range
+        pts = np.random.default_rng(1).normal(0.9, 0.02, 100)
+        far = [1e300, -1e300, 1e19, -1e19, 5.0, np.finfo(float).max, -np.finfo(float).max]
+        sample = merge(single_replication(pts), single_replication(far))
+        grid = kde._bin_grid((0.85, 0.96), 1024)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binned = binned_gaussian_estimate(sample, grid, 1e-5)
+        # the far values' replication adds nothing on the grid: half the near sample's estimate
+        near = binned_gaussian_estimate(single_replication(pts), grid, 1e-5)
+        assert np.allclose(binned.y, 0.5 * near.y, rtol=1e-12, atol=1e-12 * near.y.max())
+
+    def test_guard_falls_back_to_the_exact_sum(self, monkeypatch):
+        # MAX_POINTS points in model1's window at its t+: the kernel's reach alone is about 8M bins
+        grid = kde._bin_grid((0.75, 1.0), kde.MAX_POINTS)[1]
+        plan = gaussian_plan(grid, 1.232e-2)
+        assert plan == kde.GaussianPlan("exact")
+        monkeypatch.setattr(kde, "gaussian_estimate", lambda sample, grid_x, t: "exact sum")
+        monkeypatch.setattr(np.fft, "rfft", None)
+        sample = single_replication([0.8, 0.9, 0.95])
+        assert binned_gaussian_estimate(sample, grid, 1.232e-2) == "exact sum"
+        # 64 times fewer points fit
+        plan = gaussian_plan(kde._bin_grid((0.75, 1.0), kde.MAX_POINTS // 64)[1], 1.232e-2)
+        assert plan.path == "binned" and plan.fft_len <= kde.MAX_FFT
+
+    @pytest.mark.parametrize("t", [math.inf, 1e300, 1e-300, 5e-324])
+    def test_sizes_past_any_bound_are_never_rounded(self, t):
+        # an infinite reach or refinement would raise OverflowError from math.ceil
+        assert gaussian_plan(np.linspace(0.0, 1.0, 11), t) == kde.GaussianPlan("exact")
+
+    def test_guard_counts_the_refined_grid(self, monkeypatch):
+        # sd / spacing = 247.5 refines by 2: 2,000 nodes with their reach are 6,491 by
+        # the unrefined count and 12,855 refined, past an 8,192 bound
+        grid = np.linspace(0.0, 1.0, 2000)
+        t = (247.5 / 1999) ** 2
+        assert gaussian_plan(grid, t).refine == 2
+        monkeypatch.setattr(kde, "MAX_FFT", 8192)
+        assert gaussian_plan(grid, t) == kde.GaussianPlan("exact")
+
+    def test_uneven_grid_takes_the_exact_sum(self, rng):
+        sample = single_replication(rng.normal(0.9, 0.05, 50))
+        grid = np.linspace(0.7, 1.1, 201)
+        grid[100] += 1e-6
+        assert gaussian_plan(grid, 1e-3).path == "exact"
+        want = gaussian_estimate(sample, grid, 1e-3).y
+        assert same_bits(binned_gaussian_estimate(sample, grid, 1e-3).y, want)
+
+    def test_rejects_nonpositive_bandwidth(self):
+        with pytest.raises(ValueError):
+            binned_gaussian_estimate(single_replication([0.5]), np.linspace(0.0, 1.0, 9), 0.0)
+
+    def test_fft_length_is_the_least_smooth_integer(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        want = [next(m for m in range(n, 2 * n + 2) if smooth(m)) for n in range(1, 3000)]
+        assert [kde._fft_length(n) for n in range(1, 3000)] == want
 
 
 class TestGaussianBandwidth:
