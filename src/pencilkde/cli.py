@@ -182,8 +182,8 @@ def _cmd_estimate(args) -> int:
     (out / "params.json").write_text(json.dumps(params, sort_keys=True, indent=2) + "\n")
     workers = decompose_workers(threads, len(dataset.data))
     (out / "metadata.json").write_text(
-        _metadata_json(result["fit"], result["gaussian_plan"], threads=threads, workers=workers,
-                       dggev=pencil.DGGEV)
+        _metadata_json(result["fit"], result["gaussian_plan"], result["proposed"],
+                       threads=threads, workers=workers, dggev=pencil.DGGEV)
     )
     print(f"modes: {json.dumps(_mode_payload(modes))}")
     return EXIT_OK

@@ -23,12 +23,14 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import pencil
 from .kde import (
+    _KERNEL_REACH,
     MAX_POINTS,
     DensityGrid,
     EigenSample,
     FitResult,
     GaussianPlan,
     Mode,
+    ProposedGrid,
     _bin_grid,
     _check_tau,
     bandwidth_t_star_details,
@@ -178,7 +180,7 @@ class ExperimentReport:
     reference: DensityGrid
     empirical: DensityGrid
     gaussian: DensityGrid | None
-    proposed: DensityGrid | None
+    proposed: ProposedGrid | None
     fit: FitResult | None
     rho_hat: float | None
     t_star: float | None
@@ -365,9 +367,10 @@ def _fit_params(fit: FitResult | None) -> dict:
     return {name: None if fit is None else getattr(fit, name) for name in ("t0", "mu0", "rho0")}
 
 
-def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None, **facts) -> str:
-    """metadata.json text: facts, the erf binding and versions, and the fit's and the
-    Gaussian estimate's diagnostics if any."""
+def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
+                   proposed: ProposedGrid | None, **facts) -> str:
+    """metadata.json text: facts, the erf binding and versions, and the fit's and both
+    estimates' diagnostics if any."""
     metadata = {
         **facts,
         "erf": ERF,
@@ -389,6 +392,15 @@ def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None, **facts
         }
     if gaussian is not None:
         metadata["gaussian"] = asdict(gaussian)
+    if proposed is not None:
+        peak = float(proposed.y.max(initial=0.0))
+        metadata["proposed"] = {
+            "rows": proposed.rows,
+            "kernel_values": proposed.values,
+            "reach": _KERNEL_REACH,
+            # what the kernel cut may have moved any point by, as a share of the peak
+            "bound_rel_peak": proposed.bound / peak if peak > 0.0 else None,
+        }
     return json.dumps(metadata, sort_keys=True, indent=2) + "\n"
 
 
@@ -452,7 +464,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
     _write(out / "params.json", json.dumps(params, sort_keys=True, indent=2) + "\n")
 
     _write(out / "metadata.json", _metadata_json(
-        report.fit, report.gaussian_plan, seed=cfg.seed, threads=cfg.threads,
+        report.fit, report.gaussian_plan, report.proposed, seed=cfg.seed, threads=cfg.threads,
         workers=report.workers, dggev=report.dggev, timings=report.timings,
     ))
     return written

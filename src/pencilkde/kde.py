@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde as _pde
-from .ratio_density import _derivs_raw, _RatioKernel
+from .ratio_density import TWO_PI, _derivs_raw, _RatioKernel
 
 # components per chunk when broadcasting kernels against evaluation grids
 CHUNK = 512
-# exp(u) is exactly 0.0 for u < -745.14; kernel supports end where u = -750
-_EXP_ZERO = 750.0
+# the proposed mixture cuts each component where its Gaussian exponent passes
+# -_KERNEL_REACH: every factor it computes is a normal double, at least e^-100,
+# and what it drops is below e^-100 (3.7e-44) of the component's own scale.
+# Between about -708 and -745 exp returns subnormals, at 100 times the cost
+_KERNEL_REACH = 100.0
 # multi-start count for the reference fit
 N_STARTS = 6
 # a histogram of n bins with k = n // COARSE_BINS >= _MIN_MERGE, k dividing n,
@@ -67,6 +70,7 @@ __all__ = [
     "pooled_correlation",
     "fit_reference",
     "bandwidth_t_star_details",
+    "ProposedGrid",
     "proposed_estimate",
     "extract_modes",
 ]
@@ -494,15 +498,22 @@ def _levenberg_marquardt(objective, x, lower, upper):
     is accepted only if it strictly lowers the objective, compared as
     objective.residuals computes it. nfev counts residual evaluations,
     Jacobian columns included.
+
+    Only the residuals, J^T r, J^T J and the solve are numpy's; the point,
+    the box and the tests on them are Python floats, which round as numpy's
+    float64 does, so the search takes the same steps. objective.residuals
+    gets the point as a list of floats; x is returned as an array.
     """
+    x, lower, upper = ([float(v) for v in a] for a in (x, lower, upper))
     fun, res = objective.residuals(x)
     nfev = 1
     if res is None:
-        return x, fun, nfev, False
+        return np.array(x), fun, nfev, False
     lam = 1.0
-    jac = np.empty((res.size, x.size))
+    dim = range(len(x))
+    jac = np.empty((res.size, len(x)))
     for _ in range(_LM_MAXITER):
-        for j in range(x.size):
+        for j in dim:
             h = _FD_STEP * max(1.0, abs(x[j]))
             xj = x.copy()
             xj[j] = x[j] + h if x[j] + h <= upper[j] else x[j] - h
@@ -514,33 +525,48 @@ def _levenberg_marquardt(objective, x, lower, upper):
                 # (res_j - res) / h, with res_j as the scratch: no temporaries
                 np.subtract(res_j, res, out=res_j)
                 np.divide(res_j, xj[j] - x[j], out=jac[:, j])
-        grad = jac.T @ res
-        jtj = jac.T @ jac
-        scale = jtj.diagonal().copy()
+        grad = (jac.T @ res).tolist()
+        jtj = (jac.T @ jac).tolist()
         # held: a coordinate the Jacobian does not see, or on a bound the descent points past
-        free = (scale > 0.0) & ~((x <= lower) & (grad > 0.0)) & ~((x >= upper) & (grad < 0.0))
-        # with no coordinate held, the same system without copying out its free block
-        block = None if free.all() else np.ix_(free, free)
+        free = [
+            i
+            for i in dim
+            if jtj[i][i] > 0.0
+            and not (x[i] <= lower[i] and grad[i] > 0.0)
+            and not (x[i] >= upper[i] and grad[i] < 0.0)
+        ]
+        block = [[jtj[i][j] for j in free] for i in free]
+        rhs = [-grad[i] for i in free]
         while True:
-            if block is None:
-                step = np.linalg.solve(jtj + np.diag(lam * scale), -grad)
-            else:
-                step = np.zeros(x.size)
-                step[free] = np.linalg.solve(jtj[block] + np.diag(lam * scale[free]), -grad[free])
-            x_new = np.clip(x + step, lower, upper)
-            if lam > _LAMBDA_MAX or np.array_equal(x_new, x):
-                return x, fun, nfev, True
+            damped = [row.copy() for row in block]
+            for k, i in enumerate(free):
+                damped[k][k] += lam * jtj[i][i]
+            step = [0.0] * len(x)
+            if free:
+                for i, s in zip(free, np.linalg.solve(damped, rhs).tolist()):
+                    step[i] = s
+            x_new = [_clip(a + s, lo, hi) for a, s, lo, hi in zip(x, step, lower, upper)]
+            if lam > _LAMBDA_MAX or x_new == x:
+                return np.array(x), fun, nfev, True
             fun_new, res_new = objective.residuals(x_new)
             nfev += 1
             if fun_new < fun:
                 break
             lam *= 10.0
         lam /= 10.0
-        done = np.max(np.abs(x_new - x)) <= _XATOL and fun - fun_new <= _FATOL
+        done = all(abs(a - b) <= _XATOL for a, b in zip(x_new, x)) and fun - fun_new <= _FATOL
         x, fun, res = x_new, fun_new, res_new
         if done:
-            return x, fun, nfev, True
-    return x, fun, nfev, False
+            return np.array(x), fun, nfev, True
+    return np.array(x), fun, nfev, False
+
+
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) of floats, the same value: NaN stays NaN, ties keep the bound."""
+    if v == v:
+        v = v if v > lo else lo
+        v = v if v < hi else hi
+    return v
 
 
 def _coarse_copy(centers, target, width):
@@ -713,33 +739,33 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
 
 
 def _kernel_supports(mu: np.ndarray, grid_x: np.ndarray, t: float, rho: float):
-    """Per component, the slices (a, b) of grid_x off which it is exactly 0.0.
+    """Per component, the slices (a, b) of grid_x off which its Gaussian exponent is below -K.
 
-    A component's Gaussian factor exp(-(mu - x)^2 / (2 t q(x))),
-    q = x^2 - 2 rho x + 1, is exactly 0.0 where its exponent drops below
-    -_EXP_ZERO, that is where (1 - c) x^2 - 2 (mu - c rho) x + mu^2 - c > 0
-    with c = 2 t _EXP_ZERO. Its real roots exist where the discriminant
+    With K = _KERNEL_REACH, a component's Gaussian factor
+    exp(-(mu - x)^2 / (2 t q(x))), q = x^2 - 2 rho x + 1, has its exponent
+    below -K where (1 - c) x^2 - 2 (mu - c rho) x + mu^2 - c > 0 with
+    c = 2 t K. Its real roots exist where the discriminant
     c q(mu) - c^2 (1 - rho^2) is positive, so where
-    q(mu) / (2 t (1 - rho^2)) > _EXP_ZERO: the component's Cauchy term
-    exp(-q(mu) / (2 t (1 - rho^2))) is then exactly 0.0 as well. If c < 1 the
+    q(mu) / (2 t (1 - rho^2)) > K: the component's Cauchy factor
+    e2 = exp(-q(mu) / (2 t (1 - rho^2))) is then below e^-K. If c < 1 the
     quadratic opens upward and the support lies between its roots, widened a
     little against their own rounding. If c > 1 it opens downward, the roots
     swap, and the support is the grid minus the interval between them, in at
     most two slices; that interval shrinks by the same margin. Components
     whose roots are not finite, and every component when c == 1, keep the
-    whole grid. The rounding left over sits well inside the margin of
-    _EXP_ZERO over the exp underflow at 745.14.
+    whole grid. So every point off a support has its exponent below -K, and
+    a support is bounded only where e2 < e^-K.
     """
     n = grid_x.size
     out = [((0, n),)] * mu.size
-    c = 2.0 * t * _EXP_ZERO
+    c = 2.0 * t * _KERNEL_REACH
     if c == 1.0:
         return out
     centre = mu - c * rho
     with np.errstate(over="ignore", invalid="ignore"):
         # discriminant c q(mu) - c^2 (1 - rho^2), written without cancellation
         half = np.sqrt(c * ((mu - rho) ** 2 + (1.0 - rho * rho) * (1.0 - c)))
-        # widens the support between the roots, or shrinks the zero interval
+        # widens the support between the roots, or shrinks the dropped interval
         pad = 1e-9 * (np.abs(centre) + half)
         if c > 1.0:
             pad = -pad
@@ -758,21 +784,58 @@ def _kernel_supports(mu: np.ndarray, grid_x: np.ndarray, t: float, rho: float):
     return out
 
 
+@dataclass
+class ProposedGrid(DensityGrid):
+    """proposed_estimate's mixture, with what its kernel cut computed and left out.
+
+    rows counts the kernel rows computed, one per slice of a support, and
+    values the kernel values computed, the sum of the slices' widths. bound
+    is an upper bound on |y - the uncut mixture| over the whole grid, beside
+    rounding; 0.0 when every support is the whole grid.
+    """
+
+    rows: int
+    values: int
+    bound: float
+
+
+def _cut_bound(grid_x, t, rho, mu, weight) -> float:
+    """The largest bound over grid_x on what dropping the off-support points of mu costs.
+
+    Component k is below e^-K (|lin_k(x)| / (q sqrt(2 pi t q)) +
+    sqrt(1 - rho^2) / (pi q)) off its support, and |lin_k(x)| is at most
+    |1 - rho x| + |mu_k| |x - rho|; weight holds the components' weights.
+    """
+    if mu.size == 0:
+        return 0.0
+    q = (grid_x - rho) ** 2 + (1.0 - rho * rho)
+    total, moment = float(weight.sum()), float((weight * np.abs(mu)).sum())
+    lin = total * np.abs(1.0 - rho * grid_x) + moment * np.abs(grid_x - rho)
+    bound = lin / (q * np.sqrt(TWO_PI * t * q)) + total * math.sqrt(1.0 - rho * rho) / (np.pi * q)
+    return math.exp(-_KERNEL_REACH) * float(bound.max())
+
+
 def proposed_estimate(
     sample: EigenSample, grid_x: np.ndarray, t_star: float, rho: float
-) -> DensityGrid:
+) -> ProposedGrid:
     """Mixture of exact ratio densities, one per eigenvalue, at variance t*.
 
     Component k of replication r contributes weight 1/(R p_r) times the
     equal-variance density with unit denominator mean, numerator mean equal
-    to the eigenvalue ratio, and the pooled correlation rho.
+    to the eigenvalue ratio mu_k, and the pooled correlation rho.
 
     Each component is evaluated in place only on its support
-    (_kernel_supports), off which its value is provably 0.0, and added into
-    its chunk's sum in component order, the order of the dense chunked
-    column sums, so skipping the exact zeros leaves the bits unchanged. The
-    supports and the Cauchy exponentials are elementwise in the components,
-    so they are computed once for all of them.
+    (_kernel_supports), where its Gaussian exponent is at least -K with
+    K = _KERNEL_REACH, and added into its chunk's sum in component order, the
+    order of the dense chunked column sums. Off its support component k is
+    below e^-K (|lin_k(x)| / (q sqrt(2 pi t* q)) + sqrt(1 - rho^2) / (pi q)),
+    with lin_k(x) = (1 - rho x) + mu_k (x - rho) and q = q(x): its Gaussian
+    factor is below e^-K there, and its Cauchy factor e2_k is below e^-K
+    wherever its support is bounded. The weights sum to at most 1, so the
+    mixture differs from the uncut one by at most e^-K times the largest such
+    bracket, beside rounding; the result's bound is that bound over the grid
+    (_cut_bound). The supports and the Cauchy exponentials are elementwise in
+    the components, so they are computed once for all of them.
     """
     if t_star <= 0.0:
         raise ValueError(f"bandwidth t* must be positive, got {t_star}")
@@ -799,7 +862,15 @@ def proposed_estimate(
                     chunk_sum[a:b] += kernel.row(m, e, a, b)
             acc += chunk_sum
         y += acc / (R * (end - start))
-    return DensityGrid(x=grid_x, y=y)
+    whole = ((0, grid_x.size),)
+    cut = np.array([s != whole for s in spans], dtype=bool)
+    return ProposedGrid(
+        x=grid_x,
+        y=y,
+        rows=sum(map(len, spans)),
+        values=sum(b - a for s in spans for a, b in s),
+        bound=_cut_bound(grid_x, t_star, rho, sample.ratio[cut], sample.weight[cut]),
+    )
 
 
 def _check_tau(tau) -> None:

@@ -527,6 +527,27 @@ class TestEmit:
             text = (tmp_path / name).read_text()
             assert not any(key in text for key in ("fft_len", "refine", "reach_bins", "binned"))
 
+    def test_proposed_diagnostics_in_metadata_only(self, micro_report, tmp_path):
+        emit(micro_report, tmp_path)
+        proposed = micro_report.proposed
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["proposed"] == {
+            "rows": proposed.rows,
+            "kernel_values": proposed.values,
+            "reach": kde._KERNEL_REACH,
+            "bound_rel_peak": proposed.bound / proposed.y.max(),
+        }
+        # at the micro config's t* the cut drops points: a support is at most two slices
+        components = micro_report.sample.ratio.size
+        assert 0 < proposed.rows <= 2 * components
+        assert 0 < proposed.values < 64 * components
+        assert 0.0 <= meta["proposed"]["bound_rel_peak"] < 1e-38
+        for name in ("densities.csv", "modes.json", "params.json"):
+            text = (tmp_path / name).read_text()
+            assert not any(key in text for key in ("rows", "kernel_values", "bound_rel_peak"))
+        emit(run(micro_config(method="gaussian")), tmp_path / "gaussian")
+        assert "proposed" not in json.loads((tmp_path / "gaussian" / "metadata.json").read_text())
+
     def test_no_fit_diagnostics_without_a_fit(self, tmp_path):
         emit(run(micro_config(method="gaussian")), tmp_path)
         meta = json.loads((tmp_path / "metadata.json").read_text())
@@ -885,6 +906,7 @@ class TestCli:
         assert meta["workers"] == harness.decompose_workers(available_cpus(), 40)
         assert meta["dggev"] == pencil.DGGEV
         assert "gaussian" not in meta
+        assert set(meta["proposed"]) == {"rows", "kernel_values", "reach", "bound_rel_peak"}
         params = (out / "params.json").read_text()
         assert not any(key in params for key in keys)
 

@@ -112,8 +112,17 @@ def plain_erf():
         ratio_density._erf = saved
 
 
-def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
-    """Reference: the dense chunked mixture proposed_estimate replaced, plain erf."""
+def gauss_exponent(mu, x, t, rho):
+    """A component's Gaussian exponent -(mu - x)^2 / (2 t q(x)); broadcasts."""
+    return -((mu - x) ** 2) / (2.0 * t * (x * x - 2.0 * rho * x + 1.0))
+
+
+def dense_proposed(sample, grid_x, t_star, rho, chunk=512, reach=kde._KERNEL_REACH):
+    """Reference: the dense chunked mixture proposed_estimate replaced, plain erf.
+
+    Each component is 0.0 where its Gaussian exponent is below -reach, found
+    on the whole component-by-grid array; reach None keeps every value.
+    """
     y = np.zeros(grid_x.size)
     with plain_erf():
         for pts in split(sample):
@@ -122,9 +131,29 @@ def dense_proposed(sample, grid_x, t_star, rho, chunk=512):
             acc = np.zeros(grid_x.size)
             for k in range(0, pts.size, chunk):
                 mu = pts[k : k + chunk, None]
-                acc += _h_erf_raw(grid_x[None, :], t_star, 1.0, mu, rho).sum(axis=0)
+                h = _h_erf_raw(grid_x[None, :], t_star, 1.0, mu, rho)
+                if reach is not None:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        h[gauss_exponent(mu, grid_x[None, :], t_star, rho) < -reach] = 0.0
+                acc += h.sum(axis=0)
             y += acc / (sample.R * pts.size)
     return y
+
+
+def cut_bound(sample, grid_x, t_star, rho):
+    """Reference: the documented bound on the cut mixture's error at each grid point.
+
+    The weighted sum, over the points a component drops, of
+    e^-K (|lin_k(x)| / (q sqrt(2 pi t q)) + sqrt(1 - rho^2) / (pi q)).
+    """
+    mu, x = sample.ratio[:, None], grid_x[None, :]
+    q = x * x - 2.0 * rho * x + 1.0
+    lin = (1.0 - rho * x) + mu * (x - rho)
+    bracket = np.abs(lin) / (q * np.sqrt(2.0 * np.pi * t_star * q))
+    bracket = bracket + np.sqrt(1.0 - rho * rho) / (np.pi * q)
+    dropped = gauss_exponent(mu, x, t_star, rho) < -kde._KERNEL_REACH
+    per_point = math.exp(-kde._KERNEL_REACH) * np.where(dropped, bracket, 0.0)
+    return sample.weight @ per_point
 
 
 def reference_residuals(theta, centers, target, width, t_cap):
@@ -185,10 +214,10 @@ def replications(rng, sizes, lo, hi):
     return EigenSample(s=[r.copy() for r in ratio], t=ones, ratio=ratio)
 
 
-# centres across and beyond a grid in (0.85, 0.96): at 2 t 750 > 1 the interval
-# where a component's Gaussian factor is 0.0 then lies inside the grid, touches
-# either end or covers it; shuffled, they fill three chunks of one replication
-# whose sums all reach the grid
+# centres across and beyond a grid in (0.85, 0.96): at 2 t K > 1, K the kernel
+# reach, the interval where a component's Gaussian exponent is below -K then
+# lies inside the grid, touches either end or covers it; shuffled, they fill
+# three chunks of one replication whose sums all reach the grid
 SWEEP = np.random.default_rng(7).permutation(np.linspace(-1.0, 3.0, 1201))
 
 
@@ -649,7 +678,7 @@ class TestFitReference:
         class Recorded(kde._FitObjective):
             def residuals(self, theta):
                 fun, res = super().residuals(theta)
-                evaluations.append((tuple(theta.tolist()), fun))
+                evaluations.append((tuple(map(float, theta)), fun))
                 return fun, res
 
         def recorded(objective, x0, lower, upper):
@@ -912,6 +941,91 @@ class TestFitReferenceObjective:
         assert not fit.at_t_cap
 
 
+def array_levenberg_marquardt(objective, x, lower, upper):
+    """Reference: _levenberg_marquardt with its bookkeeping on numpy 3-vectors, as it was."""
+    fun, res = objective.residuals(x)
+    nfev = 1
+    if res is None:
+        return x, fun, nfev, False
+    lam = 1.0
+    jac = np.empty((res.size, x.size))
+    for _ in range(kde._LM_MAXITER):
+        for j in range(x.size):
+            h = kde._FD_STEP * max(1.0, abs(x[j]))
+            xj = x.copy()
+            xj[j] = x[j] + h if x[j] + h <= upper[j] else x[j] - h
+            res_j = objective.residuals(xj)[1]
+            nfev += 1
+            if res_j is None:
+                jac[:, j] = 0.0
+            else:
+                np.subtract(res_j, res, out=res_j)
+                np.divide(res_j, xj[j] - x[j], out=jac[:, j])
+        grad = jac.T @ res
+        jtj = jac.T @ jac
+        scale = jtj.diagonal().copy()
+        free = (scale > 0.0) & ~((x <= lower) & (grad > 0.0)) & ~((x >= upper) & (grad < 0.0))
+        block = None if free.all() else np.ix_(free, free)
+        while True:
+            if block is None:
+                step = np.linalg.solve(jtj + np.diag(lam * scale), -grad)
+            else:
+                step = np.zeros(x.size)
+                step[free] = np.linalg.solve(jtj[block] + np.diag(lam * scale[free]), -grad[free])
+            x_new = np.clip(x + step, lower, upper)
+            if lam > kde._LAMBDA_MAX or np.array_equal(x_new, x):
+                return x, fun, nfev, True
+            fun_new, res_new = objective.residuals(x_new)
+            nfev += 1
+            if fun_new < fun:
+                break
+            lam *= 10.0
+        lam /= 10.0
+        done = np.max(np.abs(x_new - x)) <= kde._XATOL and fun - fun_new <= kde._FATOL
+        x, fun, res = x_new, fun_new, res_new
+        if done:
+            return x, fun, nfev, True
+    return x, fun, nfev, False
+
+
+class TestLevenbergMarquardtBookkeeping:
+    """_levenberg_marquardt on floats takes the steps of the numpy-vector search, bit for bit."""
+
+    def searches(self, h_e, monkeypatch):
+        """(objective, x0, lower, upper) of every search fit_reference runs on h_e."""
+        calls = []
+
+        def recorded(objective, x0, lower, upper):
+            calls.append((objective, np.array(x0, dtype=float), lower.copy(), upper.copy()))
+            return levenberg_marquardt(objective, x0, lower, upper)
+
+        levenberg_marquardt = kde._levenberg_marquardt
+        with monkeypatch.context() as m:
+            m.setattr(kde, "_levenberg_marquardt", recorded)
+            fit_reference(h_e)
+        return calls
+
+    def assert_same_search(self, objective, x0, lower, upper):
+        got = kde._levenberg_marquardt(objective, x0.copy(), lower, upper)
+        want = array_levenberg_marquardt(objective, x0.copy(), lower, upper)
+        assert same_bits(np.asarray(got[0]), want[0])
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("histogram", [model1_like_histogram, model2_like_histogram])
+    def test_matches_the_array_search(self, histogram, monkeypatch):
+        for call in self.searches(histogram(), monkeypatch):
+            self.assert_same_search(*call)
+
+    def test_matches_with_a_held_coordinate(self, monkeypatch):
+        # lower[0] == upper[0] holds log t, as a held-t profile rung would
+        objective, x0, lower, upper = self.searches(model2_like_histogram(), monkeypatch)[0]
+        lower, upper = lower.copy(), upper.copy()
+        lower[0] = upper[0] = x0[0] = math.log(1e-4)
+        got = kde._levenberg_marquardt(objective, x0.copy(), lower, upper)
+        assert got[0][0] == x0[0] and got[2] > 10
+        self.assert_same_search(objective, x0, lower, upper)
+
+
 def counted_searches(monkeypatch):
     """The objectives _levenberg_marquardt is called with, in call order, as fit_reference runs."""
     calls = []
@@ -1128,49 +1242,108 @@ class TestProposedEstimate:
             (3.8e-5, 0.99),  # model2-like: most of each row is banded away
             (1e-9, 0.3),  # every row banded to a few points or none
             (2e-4, -0.7),
-            (1.0 / 1500.0, 0.99),  # 2 t 750 = 1: no band
-            (2e-3, -0.9),  # 2 t 750 > 1, no zero interval meets the grid
+            (1.0 / 1500.0, 0.99),
+            (2e-3, -0.9),
             (0.012, 0.5),  # model1-like: no band
-            # 2 t 750 > 1: the zero interval inside the grid, touching either
-            # end, covering it, and centres near rho whose Cauchy term is not 0.0
             (2.5e-3, 0.99),
-            (0.01, 0.97),  # the most centres with the interval inside the grid
-            (1e-3, 0.99),  # touching each end for dozens of centres
-            (1.35e-3, 0.9998),  # model2 at its t cap
+            (0.01, 0.97),
+            (1e-3, 0.99),
+            (1.35e-3, 0.9998),  # model2 at its t cap, with band supports
+            (1.0 / (2.0 * kde._KERNEL_REACH), 0.99),  # 2 t K = 1: no band
+            (0.015, -0.9),  # 2 t K > 1, no dropped interval meets the grid
+            # 2 t K > 1: the dropped interval inside the grid, touching either
+            # end, covering it, and centres near rho whose Cauchy term is not 0.0
+            (0.01875, 0.99),
+            (0.075, 0.97),  # the most centres with the interval inside the grid
+            (7.5e-3, 0.99),  # touching each end for dozens of centres
         ],
     )
     def test_matches_dense_chunked_mixture(self, rng, t_star, rho):
         grid = np.linspace(0.85, 0.96, 2048)
         sample = replications(rng, rng.integers(0, 10, 30), 0.8, 1.0)
-        if 2.0 * t_star * kde._EXP_ZERO > 1.0:
+        if 2.0 * t_star * kde._KERNEL_REACH > 1.0:
             sample = with_sweep(sample)
         got = proposed_estimate(sample, grid, t_star, rho).y
         assert same_bits(got, dense_proposed(sample, grid, t_star, rho))
 
     def test_supports_take_every_shape(self):
-        # the sweep at (2.5e-3, 0.99) on the grid above: the slices of the
-        # support show where the zero interval lies
+        # the sweep at (0.01875, 0.99) on the grid above: the slices of the
+        # support show where the dropped interval lies
         grid = np.linspace(0.85, 0.96, 2048)
         n = grid.size
-        shapes = kde._kernel_supports(SWEEP, grid, 2.5e-3, 0.99)
+        shapes = kde._kernel_supports(SWEEP, grid, 0.01875, 0.99)
         assert any(len(s) == 2 for s in shapes)  # inside
         assert any(len(s) == 1 and s[0][0] > 0 and s[0][1] == n for s in shapes)  # at the low end
         assert any(len(s) == 1 and s[0][0] == 0 and s[0][1] < n for s in shapes)  # at the high end
         assert any(s == () for s in shapes)  # covering the grid
 
     @pytest.mark.parametrize("t_star, rho", [(2.5e-3, 0.99), (1.35e-3, 0.9998), (0.01, 0.97)])
-    def test_cauchy_term_is_zero_off_the_support(self, t_star, rho):
-        # a zero interval has real roots only where q(mu) / (2 t (1 - rho^2)) > 750,
-        # so every component that skips grid points has its Cauchy term 0.0
+    def test_cauchy_term_is_below_the_reach_off_the_support(self, t_star, rho):
+        # a dropped interval has real roots only where q(mu) / (2 t (1 - rho^2)) > K,
+        # so every component that skips grid points has its Cauchy term below e^-K
         grid = np.linspace(0.85, 0.96, 2048)
         e2 = np.exp((-1.0 + 2.0 * SWEEP * rho - SWEEP**2) / (2.0 * t_star * (1.0 - rho * rho)))
         shapes = kde._kernel_supports(SWEEP, grid, t_star, rho)
-        assert np.any(e2 != 0.0)
-        assert all(e == 0.0 for e, s in zip(e2, shapes) if s != ((0, grid.size),))
+        cut = [e for e, s in zip(e2, shapes) if s != ((0, grid.size),)]
+        assert cut and np.any(e2 != 0.0)
+        assert all(e < math.exp(-kde._KERNEL_REACH) for e in cut)
+
+    @pytest.mark.parametrize(
+        "t_star, rho",
+        [
+            (1e-9, 0.3),  # the cut moves the tails between components
+            (3.8e-5, 0.99),
+            (2.5e-3, 0.99),
+            (0.01875, 0.99),  # 2 t K > 1
+        ],
+    )
+    def test_within_the_bound_of_the_uncut_mixture(self, rng, t_star, rho):
+        grid = np.linspace(0.85, 0.96, 2048)
+        sample = with_sweep(replications(rng, rng.integers(0, 10, 30), 0.8, 1.0))
+        got = proposed_estimate(sample, grid, t_star, rho)
+        uncut = dense_proposed(sample, grid, t_star, rho, reach=None)
+        bound = cut_bound(sample, grid, t_star, rho)
+        # beside the dropped values, the sums may round apart by an ulp or two
+        assert np.all(np.abs(got.y - uncut) <= bound + 2.0**-50 * uncut)
+        assert 0.0 < bound.max() <= got.bound
+        if t_star == 1e-9:
+            assert not same_bits(got.y, uncut)
+
+    def test_within_the_bound_on_model2_pairs(self, model2_pairs):
+        sample, grid = model2_pairs
+        got = proposed_estimate(sample, grid, 3.85e-5, 0.9998)
+        uncut = dense_proposed(sample, grid, 3.85e-5, 0.9998, reach=None)
+        bound = cut_bound(sample, grid, 3.85e-5, 0.9998)
+        assert np.all(np.abs(got.y - uncut) <= bound + 2.0**-50 * uncut)
+        assert 0.0 < bound.max() <= got.bound < 1e-38 * got.y.max()
+
+    @pytest.mark.parametrize(
+        "t_star, rho", [(1e-9, 0.3), (3.8e-5, 0.99), (1.35e-3, 0.9998), (0.01875, 0.99)]
+    )
+    def test_no_row_reaches_past_the_cut(self, rng, monkeypatch, t_star, rho):
+        # the supports' rounding pad keeps a point or so whose exponent is a
+        # hair below -K, so every Gaussian factor computed is at least about
+        # e^-100: none is a subnormal, where exp(u) for u < -708 ends
+        rows = []
+
+        class Recorded(ratio_density._RatioKernel):
+            def row(self, mu, e2, a, b):
+                rows.append((mu, a, b))
+                return super().row(mu, e2, a, b)
+
+        monkeypatch.setattr(kde, "_RatioKernel", Recorded)
+        grid = np.linspace(0.85, 0.96, 2048)
+        sample = with_sweep(replications(rng, rng.integers(0, 10, 30), 0.8, 1.0))
+        got = proposed_estimate(sample, grid, t_star, rho)
+        assert rows and len(rows) == got.rows
+        assert sum(b - a for _, a, b in rows) == got.values
+        lowest = min(gauss_exponent(mu, grid[a:b], t_star, rho).min() for mu, a, b in rows)
+        assert lowest >= -kde._KERNEL_REACH * (1.0 + 1e-9)
+        assert math.exp(lowest) >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("t_star", [1.35e-3, 3.85e-5])
     def test_matches_dense_on_model2_pairs(self, model2_pairs, t_star):
-        # model2 at its t cap (2 t 750 > 1) and with band supports, at its rho_hat
+        # model2 at its t cap and at a rho -> -1 seed's t*, with band supports, at its rho_hat
         sample, grid = model2_pairs
         got = proposed_estimate(sample, grid, t_star, 0.9998).y
         assert same_bits(got, dense_proposed(sample, grid, t_star, 0.9998))
