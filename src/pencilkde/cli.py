@@ -183,7 +183,7 @@ def _cmd_estimate(args) -> int:
     workers = decompose_workers(threads, len(dataset.data))
     (out / "metadata.json").write_text(
         _metadata_json(result["fit"], result["gaussian_plan"], result["proposed"],
-                       threads=threads, workers=workers, dggev=pencil.DGGEV)
+                       threads=threads, workers=workers, qz=pencil.QZ)
     )
     print(f"modes: {json.dumps(_mode_payload(modes))}")
     return EXIT_OK

@@ -190,10 +190,10 @@ class ExperimentReport:
     skipped_components: int
     counts: dict
     timings: dict = field(default_factory=dict)
-    # the decomposition's threads and binding of dggev, and how the Gaussian
+    # the decomposition's threads and QZ binding, and how the Gaussian
     # estimate was evaluated, for metadata.json
     workers: int = 1
-    dggev: str = ""
+    qz: str = ""
     gaussian_plan: GaussianPlan | None = None
     # the first R records' eigenvalues, which both estimates smooth
     sample: EigenSample | None = None
@@ -209,9 +209,9 @@ class ExperimentReport:
 def decompose_workers(threads: int, n: int) -> int:
     """Threads decompose_records runs: threads capped at the CPUs and records.
 
-    One with the f2py binding of dggev, which holds the GIL.
+    One with the f2py binding of the QZ, which holds the GIL.
     """
-    if pencil.DGGEV != "ctypes":
+    if pencil.QZ != "ctypes":
         return 1
     return max(1, min(threads, available_cpus(), n))
 
@@ -344,7 +344,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         config=config, reference=reference, counts=counts, timings=timings,
-        workers=decompose_workers(config.threads, config.N_ref), dggev=pencil.DGGEV,
+        workers=decompose_workers(config.threads, config.N_ref), qz=pencil.QZ,
         sample=est_sample, **est
     )
 
@@ -465,6 +465,6 @@ def emit(report: ExperimentReport, out_dir) -> list:
 
     _write(out / "metadata.json", _metadata_json(
         report.fit, report.gaussian_plan, report.proposed, seed=cfg.seed, threads=cfg.threads,
-        workers=report.workers, dggev=report.dggev, timings=report.timings,
+        workers=report.workers, qz=report.qz, timings=report.timings,
     ))
     return written

@@ -82,12 +82,12 @@ with tempfile.TemporaryDirectory() as out:
     assert cli.main(argv) == 0
 print(loaded())
 """)
-    # the f2py fallback of dggev is the one user of scipy.linalg in a run
-    after = "[]" if pencil.DGGEV == "ctypes" else "['scipy', 'scipy.linalg']"
+    # the f2py fallback of the QZ is the one user of scipy.linalg in a run
+    after = "[]" if pencil.QZ == "ctypes" else "['scipy', 'scipy.linalg']"
     assert (lines[0], lines[1], lines[4], lines[-1]) == ("[]", "[]", scipy.__version__, after)
     # the binned Gaussian estimate transforms with numpy's own pocketfft
     assert lines[2] == "['numpy.fft']"
-    # one OpenBLAS mapped: numpy's, which also serves dggev
+    # one OpenBLAS mapped: numpy's, which also serves the QZ
     blas = pencil._openblas
     if lines[3] != "None" and blas is not None:
         assert lines[3] == repr([str(blas.path)])

@@ -244,7 +244,7 @@ class TestDecompose:
          (2, 40, min(2, available_cpus()))],
     )
     def test_workers_capped_at_cpus_and_records(self, threads, n_rep, workers, pool_sizes):
-        if pencil.DGGEV != "ctypes":
+        if pencil.QZ != "ctypes":
             pytest.skip("the f2py binding always runs one worker")
         serial = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=1)
         pairs = decompose_replications(MICRO_MODEL, seed=3, n_rep=n_rep, threads=threads)
@@ -352,15 +352,15 @@ class TestRun:
         run(micro_config())
 
     def test_f2py_fallback_same_bits_one_worker(self, micro_report, monkeypatch, tmp_path):
-        # as if no OpenBLAS were found: no library, f2py's dggev, no pool
+        # as if no OpenBLAS were found: no library, f2py's dgges, no pool
         assert pencil._load_openblas(tmp_path) is None
         monkeypatch.setattr(pencil, "_openblas", None)
-        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev)
-        monkeypatch.setattr(pencil, "DGGEV", "f2py")
+        monkeypatch.setattr(pencil, "_qz", pencil._f2py_dgges)
+        monkeypatch.setattr(pencil, "QZ", "f2py")
         # any pool would fail
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         report = run(micro_config(threads=4))
-        assert (report.workers, report.dggev) == (1, "f2py")
+        assert (report.workers, report.qz) == (1, "f2py")
         emit(report, tmp_path / "f2py")
         emit(micro_report, tmp_path / "ctypes")
         for name in ("densities.csv", "modes.json", "params.json"):
@@ -368,7 +368,7 @@ class TestRun:
                 tmp_path / "ctypes" / name
             ).read_bytes()
         meta = json.loads((tmp_path / "f2py" / "metadata.json").read_text())
-        assert (meta["threads"], meta["workers"], meta["dggev"]) == (4, 1, "f2py")
+        assert (meta["threads"], meta["workers"], meta["qz"]) == (4, 1, "f2py")
 
     def test_estimate_bits_independent_of_blas_threads(self):
         # J^T r over 2**18 residuals splits across OpenBLAS threads, which changes its
@@ -484,7 +484,7 @@ class TestEmit:
         for name in ("densities.csv", "modes.json", "params.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         meta = json.loads((tmp_path / "b" / "metadata.json").read_text())
-        assert (meta["threads"], meta["workers"], meta["dggev"]) == (1, 1, pencil.DGGEV)
+        assert (meta["threads"], meta["workers"], meta["qz"]) == (1, 1, pencil.QZ)
 
 
     def test_fit_diagnostics_in_metadata_only(self, micro_report, tmp_path):
@@ -904,7 +904,7 @@ class TestCli:
         assert set(meta["fit"]) == keys
         assert len(meta["fit"]["nfev"]) == kde.N_STARTS and meta["fit"]["search_bins"] == 64
         assert meta["workers"] == harness.decompose_workers(available_cpus(), 40)
-        assert meta["dggev"] == pencil.DGGEV
+        assert meta["qz"] == pencil.QZ
         assert "gaussian" not in meta
         assert set(meta["proposed"]) == {"rows", "kernel_values", "reach", "bound_rel_peak"}
         params = (out / "params.json").read_text()
@@ -924,7 +924,7 @@ class TestCli:
             assert not any(key in text for key in ("fft_len", "refine", "reach_bins", "binned"))
 
     def test_estimate_decomposes_on_the_pool(self, dataset_csv, tmp_path, pool_sizes):
-        if pencil.DGGEV != "ctypes" or available_cpus() == 1:
+        if pencil.QZ != "ctypes" or available_cpus() == 1:
             pytest.skip("estimate decomposes serially with the f2py binding or on one CPU")
         code, _, _ = run_cli(["estimate", f"--data={dataset_csv}", "--window=0.3,1.1",
                               "--points=64", f"--out={tmp_path / 'est'}"])
@@ -1146,11 +1146,11 @@ class TestDecompositionFailure:
 
     @pytest.fixture(autouse=True)
     def failing_qz(self, monkeypatch):
-        def dggev(a, b):
-            z = np.zeros(a.shape[0])
+        def qz(h, t):
+            z = np.zeros(h.shape[0])
             return z, z, z, 1
 
-        monkeypatch.setattr(pencil, "_dggev", dggev)
+        monkeypatch.setattr(pencil, "_qz", qz)
 
     def test_real_pairs_fast_raises(self):
         with pytest.raises(DecompositionError, match="info=1"):

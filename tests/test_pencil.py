@@ -149,15 +149,24 @@ class TestRealPairs:
             assert (full.n_complex, full.n_infinite) == (fast.n_complex, fast.n_infinite)
 
 
-def _dgges_real_pairs(d):
-    """Reference: LAPACK's Schur-form routine dgges with its minimal workspace."""
-    pencil = build_pencil(d)
-    p = pencil.p
-    res = lapack.dgges(
-        lambda ar, ai, b: 0, pencil.u1, pencil.u0, jobvsl=0, jobvsr=0, lwork=8 * p + 16
-    )
-    ar, ai, beta, info = res[3], res[4], res[5], res[-1]
-    assert info == 0
+def _reduced(d):
+    """(Q_K, H, T): the complete QR K = Q_K R of the Hankel data matrix K[i,j] = d[i+j],
+    and the F-ordered Hessenberg-triangular pencil (R[:, 1:], R[:, :p]) it gives."""
+    pen = build_pencil(d)
+    q_k, r = np.linalg.qr(np.hstack([pen.u0, pen.u1[:, -1:]]), mode="complete")
+    return q_k, np.asfortranarray(r[:, 1:]), np.asfortranarray(r[:, :pen.p])
+
+
+def _dgges_raw(a, b):
+    """(alphar, alphai, beta) of LAPACK's Schur-form routine dgges, minimal workspace."""
+    p = a.shape[0]
+    res = lapack.dgges(lambda ar, ai, b: 0, a, b, jobvsl=0, jobvsr=0, lwork=8 * p + 16)
+    assert res[-1] == 0
+    return res[3], res[4], res[5]
+
+
+def _pairs_from_raw(ar, ai, beta):
+    """(s, t, ratio, n_complex, n_infinite) as real_pairs_fast keeps them."""
     is_real = ai == 0.0
     sign = np.where(is_real & (beta < 0.0), -1.0, 1.0)
     s = (ar * sign)[is_real]
@@ -170,11 +179,18 @@ def _dgges_real_pairs(d):
     return s[finite], t[finite], ratio[finite], n_complex, n_infinite
 
 
+def _dgges_real_pairs(d):
+    """Reference: dgges on the QR-reduced pencil (H, T) that real_pairs_fast decomposes."""
+    _, h, t = _reduced(d)
+    return _pairs_from_raw(*_dgges_raw(h, t))
+
+
 class TestFastPathBits:
     """real_pairs_fast against dgges and qz at the paper's pencil sizes.
 
-    An optimal LAPACK workspace changes the last bits at p >= 128, so both
-    references must run with the minimal one at model2's p = 163.
+    Both references decompose the QR-reduced pencil (H, T), taken here from
+    np.linalg.qr(mode="complete"): the same R bits as real_pairs_fast's
+    mode="r" at both sizes.
     """
 
     @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
@@ -203,29 +219,82 @@ class TestFastPathBits:
             assert (full.n_complex, full.n_infinite) == (fast.n_complex, fast.n_infinite)
 
 
+class TestOneQrReduction:
+    """The QR-reduced pencil (H, T) against the pencil (U1, U0) it stands for.
+
+    The eigenvalues must agree with dgges on (U1, U0), the reduction dggev
+    makes; the (s, t) pairs need not, since they follow the QZ deflation order.
+    """
+
+    @pytest.mark.parametrize("name, n_rep", [("model1", 20), ("model2", 3)])
+    def test_same_pencil_and_eigenvalues(self, name, n_rep):
+        config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
+        lo, hi = config.window
+        worst = 0.0
+        for r in range(n_rep):
+            d = generate(config.model, config.seed, r)
+            pen = build_pencil(d)
+            q_k, h, t = _reduced(d)
+            assert not np.tril(h, -2).any() and not np.tril(t, -1).any()
+            for u, m in ((pen.u1, h), (pen.u0, t)):
+                assert np.linalg.norm(q_k.T @ u - m) <= 1e-13 * np.linalg.norm(u)
+            fast = real_pairs_fast(d)
+            _, _, ratio, n_complex, n_infinite = _pairs_from_raw(*_dgges_raw(pen.u1, pen.u0))
+            assert (fast.ratio.size, fast.n_complex, fast.n_infinite) == (
+                ratio.size, n_complex, n_infinite)
+            got, want = np.sort(fast.ratio), np.sort(ratio)
+            inside = (want > lo) & (want < hi)
+            assert np.array_equal(inside, (got > lo) & (got < hi))
+            rel = np.abs(got[inside] - want[inside]) / np.abs(want[inside])
+            worst = max(worst, float(rel.max(initial=0.0)))
+        assert worst <= 1e-6
+        print(f"{name}: worst relative ratio difference inside the window {worst:.2e}")
+
+    def test_edge_cases(self):
+        # p = 1 is its own QR: the pair is (d1, d0) exactly
+        fast = real_pairs_fast(np.array([2.0, 1.8]))
+        assert (fast.s.tolist(), fast.t.tolist(), fast.ratio.tolist()) == ([1.8], [2.0], [0.9])
+        # +-i and a constant det(U1 - x U0), counted as dgges on (U1, U0) counts them
+        for data, complex_, infinite in (([1.0, 0.0, -1.0, 0.0], 2, 0),
+                                         ([0.0, 0.0, 1.0, 0.0], 0, 2)):
+            pen = build_pencil(np.array(data))
+            _, _, ratio, n_complex, n_infinite = _pairs_from_raw(*_dgges_raw(pen.u1, pen.u0))
+            fast = real_pairs_fast(np.array(data))
+            assert (fast.ratio.size, fast.n_complex, fast.n_infinite) == (0, complex_, infinite)
+            assert (ratio.size, n_complex, n_infinite) == (0, complex_, infinite)
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0, 3.0], [], [[1.0, 2.0], [3.0, 4.0]],
+                                      [1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_what_build_pencil_rejects(self, data):
+        with pytest.raises(ValueError):
+            build_pencil(np.array(data))
+        with pytest.raises(ValueError):
+            real_pairs_fast(np.array(data))
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestDggevBindings:
-    """LAPACK dggev through ctypes (GIL-free) and through f2py's wrapper."""
+    """The QZ bindings: LAPACK dhgeqz through ctypes (GIL-free) and f2py's dgges."""
 
     @pytest.mark.parametrize("name, n_rep, p", [("model1", 20, 64), ("model2", 3, 163)])
     def test_ctypes_equals_f2py(self, name, n_rep, p, monkeypatch):
-        if pencil.DGGEV != "ctypes":
+        if pencil.QZ != "ctypes":
             pytest.skip("no OpenBLAS library is bound")
         config = ExperimentConfig.from_json_file(CONFIGS / f"{name}.json")
         assert config.model.n == 2 * p
         records = [generate(config.model, config.seed, r) for r in range(n_rep)]
         raw = []
         for d in records:
-            pen = build_pencil(d)
-            raw.append(pencil._dggev(pen.u1.copy(), pen.u0.copy()))
+            _, h, t = _reduced(d)
+            raw.append(pencil._qz(h, t))
         fast = [real_pairs_fast(d) for d in records]
-        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev)
+        monkeypatch.setattr(pencil, "_qz", pencil._f2py_dgges)
         for d, got, rp in zip(records, raw, fast):
-            pen = build_pencil(d)
-            want = pencil._f2py_dggev(pen.u1, pen.u0)
+            _, h, t = _reduced(d)
+            want = pencil._f2py_dgges(h, t)
             for a, b in zip(got[:3], want[:3]):
                 assert np.array_equal(_bits(a), _bits(b))
             assert got[3] == want[3] == 0
@@ -319,31 +388,44 @@ class TestDggevBindings:
         assert (seen, after, pencil._pin_depth) == ({1}, 2, 0)
 
     def test_ctypes_rejects_arrays_it_cannot_pass(self):
-        if pencil.DGGEV != "ctypes":
+        if pencil.QZ != "ctypes":
             pytest.skip("no OpenBLAS library is bound")
-        u = np.eye(4)
-        read_only = u.copy()
+        u = np.asfortranarray(np.eye(4))
+        read_only = u.copy(order="F")
         read_only.flags.writeable = False
-        for bad in (u.astype(np.float32), u[:, ::-1], u[:3], u[::2, ::2], read_only):
+        for bad in (u.astype(np.float32), np.ascontiguousarray(u), u[:, ::-1], u[:3],
+                    u[::2, ::2], read_only):
             with pytest.raises(ValueError):
-                pencil._dggev(bad, u.copy())
+                pencil._qz(bad, u.copy(order="F"))
             with pytest.raises(ValueError):
-                pencil._dggev(u.copy(), bad)
+                pencil._qz(u.copy(order="F"), bad)
 
-    def test_counts_complex_and_infinite_pairs(self):
-        # +-i, and a constant det(U1 - x U0): the same counts through either binding
+    def test_counts_complex_and_infinite_pairs(self, monkeypatch):
+        # +-i, and a constant det(U1 - x U0): the same pairs and counts through either
+        # binding. dgges balances by permutation first, which on the second pencil
+        # flips alphar's sign where beta = 0; those infinite pairs are dropped
         for data in ([1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
-            pen = build_pencil(np.array(data))
-            got = pencil._dggev(pen.u1.copy(), pen.u0.copy())
-            want = pencil._f2py_dggev(pen.u1, pen.u0)
-            for a, b in zip(got[:3], want[:3]):
+            _, h, t = _reduced(np.array(data))
+            got = pencil._qz(h.copy(order="F"), t.copy(order="F"))
+            want = pencil._f2py_dgges(h, t)
+            finite = want[2] != 0.0
+            for a, b in zip((got[0][finite], got[1], got[2]), (want[0][finite], *want[1:3])):
                 assert np.array_equal(_bits(a), _bits(b))
+            assert got[3] == want[3] == 0
+        ctypes_pairs = [real_pairs_fast(np.array(data)) for data in
+                        ([1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0])]
+        monkeypatch.setattr(pencil, "_qz", pencil._f2py_dgges)
+        for data, a in zip(([1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0]), ctypes_pairs):
+            b = real_pairs_fast(np.array(data))
+            for field in ("s", "t", "ratio"):
+                assert np.array_equal(_bits(getattr(a, field)), _bits(getattr(b, field)))
+            assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
         assert real_pairs_fast(np.array([1.0, 0.0, -1.0, 0.0])).n_complex == 2
         assert real_pairs_fast(np.array([0.0, 0.0, 1.0, 0.0])).n_infinite >= 1
 
     def test_missing_library_binds_f2py(self, tmp_path, monkeypatch):
         # an empty or absent directory, or one whose only file of the name does not
-        # load, has no library; pencil imported where none loads binds f2py's dggev
+        # load, has no library; pencil imported where none loads binds f2py's dgges
         (tmp_path / "empty").mkdir()
         assert pencil._load_openblas(tmp_path / "empty") is None
         assert pencil._load_openblas(tmp_path / "absent") is None
@@ -355,10 +437,10 @@ class TestDggevBindings:
 
         monkeypatch.setattr(ctypes, "CDLL", no_library)
         bare = _fresh_pencil(monkeypatch)
-        assert (bare._openblas, bare._dggev, bare.DGGEV) == (None, bare._f2py_dggev, "f2py")
+        assert (bare._openblas, bare._qz, bare.QZ) == (None, bare._f2py_dgges, "f2py")
 
     def test_library_without_the_symbols_is_skipped(self, tmp_path):
-        # a shared library that loads under the OpenBLAS name but exports no dggev
+        # a shared library that loads under the OpenBLAS name but exports no dhgeqz
         quadmath = sorted(pencil._NUMPY_LIBS.glob("libquadmath*.so*"))
         if not quadmath:
             pytest.skip("no libquadmath in numpy.libs")
@@ -385,7 +467,7 @@ class TestDggevBindings:
         records = [generate(ExperimentConfig.from_json_file(CONFIGS / f"{n}.json").model, 0, r)
                    for n, n_rep in (("model1", 6), ("model2", 2)) for r in range(n_rep)]
         want = [real_pairs_fast(d) for d in records]
-        monkeypatch.setattr(pencil, "_dggev", pencil._f2py_dggev if bound is None else bound.dggev)
+        monkeypatch.setattr(pencil, "_qz", pencil._f2py_dgges if bound is None else bound.dhgeqz)
         for d, a in zip(records, want, strict=True):
             b = real_pairs_fast(d)
             for field in ("s", "t", "ratio"):
