@@ -54,6 +54,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     raw = json.loads(args.config.read_text())
+    method = ExperimentConfig.from_dict(raw).method
+    if method != "both":
+        print(f"{args.config}: the study compares the proposed estimate with the Gaussian one,"
+              f' so method must be "both", got {method!r}', file=sys.stderr)
+        return 2
     truth = np.sort(raw["model"]["zeta"])
     p = truth.size
     min_hits = p if args.min_hits is None else args.min_hits

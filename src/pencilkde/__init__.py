@@ -10,9 +10,20 @@ and exact-kernel variants, bandwidth rules, and a Monte Carlo harness.
 __version__ = "0.1.0"
 
 from .multiexp import Dataset, SignalModel, generate, noiseless, select_n
-from .pencil import ExponentialFit, HankelPencil, RealPairs, SchurPairs
-from .ratio_density import EqualVarSpec, GeneralGaussianSpec
+from .pencil import RealPairs
+from .ratio_density import EqualVarSpec
 from .kde import DensityGrid, EigenSample, FitResult, Mode
+
+# oracle types, resolved by importing .oracles on first use (PEP 562): no run loads it
+_ORACLES = ("ExponentialFit", "HankelPencil", "SchurPairs", "GeneralGaussianSpec")
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

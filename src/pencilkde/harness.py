@@ -386,7 +386,6 @@ def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
             "nfev": list(fit.nfev),
             "converged_starts": fit.n_converged,
             "at_t_cap": fit.at_t_cap,
-            "at_rho_cap": fit.at_rho_cap,
             "rho_near_boundary": fit.rho_near_boundary,
             "search_bins": fit.search_bins,
         }

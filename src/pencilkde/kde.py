@@ -154,12 +154,10 @@ class FitResult:
     converged: bool = True
     # diagnostics for metadata.json: residual evaluations per search (the
     # starts, then the polish if any), searches that converged, whether t0
-    # sits at the variance cap span^2, whether the minimizer's |atanh rho|
-    # sits on its bound, and the bins the starts searched
+    # sits at the variance cap span^2, and the bins the starts searched
     nfev: tuple = ()
     n_converged: int = 0
     at_t_cap: bool = False
-    at_rho_cap: bool = False
     search_bins: int = 0
 
     @property
@@ -669,7 +667,6 @@ def fit_reference(h_e: DensityGrid) -> FitResult:
         nfev=tuple(nfev),
         n_converged=n_converged,
         at_t_cap=t0 >= t_cap * (1.0 - _CAP_RTOL),
-        at_rho_cap=abs(float(best_x[2])) >= _ARHO_CAP,
         search_bins=centers.size if coarse is None else coarse[0].size,
     )
     if not fit.converged:

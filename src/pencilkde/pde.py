@@ -5,20 +5,15 @@ with a rational diffusion coefficient D = P3(x) / (Q1(x) + t Q2(x)), a
 rational convection coefficient C defined by C = G_x - dD/dx, and an
 x-independent source S(t).  The denominator cubic can vanish at up to three
 real points where D and C blow up; callers must keep clear of those roots.
+The moment-form G_x, G_xx and the pointwise residual that check these
+coefficients are in `oracles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ratio_density import (
-    EqualVarSpec,
-    _abc_equal_var,
-    _moment_coefficients,
-    density_equal_var,
-    derivatives,
-)
-from .specfun import moment_recurrence
+from .ratio_density import EqualVarSpec, density_equal_var, derivatives
 
 # denominator magnitudes below EPS_DENOM * (largest term) count as singular
 EPS_DENOM = 1e-12
@@ -29,49 +24,12 @@ __all__ = [
     "SingularPointError",
     "cubic_real_roots",
     "pde_coefficients",
-    "g_coefficients",
-    "residual",
     "singular_mask",
 ]
 
 
 class SingularPointError(ArithmeticError):
     """Evaluation point too close to a real root of the denominator cubic."""
-
-
-def _poly_terms(nu_v, nu_w, rho, x):
-    """P1, P2, P3, Q1, Q2 evaluated from the factored forms; broadcasts."""
-    q = 1.0 + x * x - 2.0 * x * rho
-    r2m1 = rho * rho - 1.0
-    wmvx = nu_w - nu_v * x
-
-    p1 = 2.0 * wmvx * wmvx * (nu_v + nu_w * x - (nu_w + nu_v * x) * rho) * r2m1
-    p2 = q * (
-        nu_w * (rho - x) * (3.0 * x * x - 6.0 * x * rho + 11.0 * rho * rho - 8.0)
-        + nu_v
-        * (
-            2.0
-            - 9.0 * x * x
-            + 10.0 * x * rho
-            + 3.0 * x**3 * rho
-            - 5.0 * rho * rho
-            - x * rho**3
-        )
-    )
-    p3 = (
-        q
-        * q
-        * (
-            nu_w * (1.0 - x * x + 2.0 * x * rho - 2.0 * rho * rho)
-            + nu_v * (rho + x * (-2.0 + x * rho))
-        )
-    )
-    q1 = 2.0 * (1.0 - rho * rho) * wmvx * wmvx * (nu_w - nu_v * rho)
-    q2 = 2.0 * r2m1 * (
-        nu_w * (1.0 + 4.0 * x * x - 8.0 * x * rho + 3.0 * rho * rho)
-        - nu_v * (rho + x * (3.0 * x * x - 5.0 * x * rho + rho * rho))
-    )
-    return p1, p2, p3, q1, q2
 
 
 def _p3_factor(nv, nw, r) -> list:
@@ -249,32 +207,6 @@ def pde_coefficients(spec: EqualVarSpec, x) -> tuple:
     return float(d), float(c), float(s), float(d_x)
 
 
-def g_coefficients(spec: EqualVarSpec, x) -> tuple:
-    """(G_x, G_xx) of the evolution identity h_t = S h + G_x h_x + G_xx h_xx.
-
-    Assembled directly from the moment-coefficient formulas (independent of
-    the rational closed forms): with C_xx = A_xx + F_xx W2 + E_xx W4 and
-    D_xx = F_xx W1 + E_xx W3,
-
-        G_x  = (A_t D_xx - B_t C_xx) / (A_x D_xx - B_x C_xx)
-        G_xx = (A_x B_t - A_t B_x) / (A_x D_xx - B_x C_xx)
-    """
-    nv, nw, r, t = spec.nu_v, spec.nu_w, spec.rho, spec.t
-    xf = float(x)
-    a, b, _ = _abc_equal_var(xf, t, nv, nw, r)
-    at, bt, _, ax, bx, exx, fxx, axx = _moment_coefficients(xf, t, nv, nw, r)
-
-    w1, w2, w3, w4 = moment_recurrence(a, b)
-    cxx = axx + fxx * w2 + exx * w4
-    dxx = fxx * w1 + exx * w3
-
-    den = ax * dxx - bx * cxx
-    scale = max(abs(ax * dxx), abs(bx * cxx))
-    if abs(den) <= EPS_DENOM * scale:
-        raise SingularPointError(f"x = {xf} is singular for the derivative elimination")
-    return (at * dxx - bt * cxx) / den, (ax * bt - at * bx) / den
-
-
 def _residual_row(spec: EqualVarSpec, x) -> tuple:
     """(h, h_t, D, C, S, residual) at scalar x; SingularPointError in the tube."""
     xf = float(x)
@@ -282,8 +214,3 @@ def _residual_row(spec: EqualVarSpec, x) -> tuple:
     h = density_equal_var(spec, xf)
     h_t, h_x, h_xx = derivatives(spec, xf)
     return h, h_t, d, c, s, h_t - (d * h_xx + (d_x + c) * h_x + s * h)
-
-
-def residual(spec: EqualVarSpec, x) -> float:
-    """h_t - (d/dx[D h_x] + C h_x + S h) at scalar x; ~0 away from singular tubes."""
-    return _residual_row(spec, x)[5]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import ctypes
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,16 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "HankelPencil",
-    "SchurPairs",
     "RealPairs",
-    "ExponentialFit",
     "DecompositionError",
-    "build_pencil",
-    "qz",
-    "real_pairs",
     "real_pairs_fast",
-    "vandermonde_solve",
     "QZ",
     "one_blas_thread",
 ]
@@ -53,40 +45,6 @@ __all__ = [
 
 class DecompositionError(RuntimeError):
     """QZ iteration failed to converge."""
-
-
-@dataclass(frozen=True)
-class HankelPencil:
-    """Matrices (u1, u0) with constant anti-diagonals taken from one signal."""
-
-    u0: np.ndarray
-    u1: np.ndarray
-
-    def __post_init__(self):
-        for m in (self.u0, self.u1):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("pencil matrices must be square")
-        if self.u0.shape != self.u1.shape:
-            raise ValueError("pencil matrices must have equal shape")
-
-    @property
-    def p(self) -> int:
-        return self.u0.shape[0]
-
-
-@dataclass(frozen=True)
-class SchurPairs:
-    """Diagonal pairs of the real generalized Schur form, sign-normalized.
-
-    is_real marks 1x1 diagonal blocks; positions covered by a 2x2 block (a
-    complex-conjugate eigenvalue pair) are False and keep their raw values.
-    """
-
-    s: np.ndarray
-    t: np.ndarray
-    is_real: np.ndarray
-    q_orth_residual: float
-    structure_residual: float
 
 
 class RealPairs(NamedTuple):
@@ -97,14 +55,6 @@ class RealPairs(NamedTuple):
     ratio: np.ndarray
     n_complex: int
     n_infinite: int
-
-
-@dataclass(frozen=True)
-class ExponentialFit:
-    """Recovered decay ratios and amplitudes of a multiexponential signal."""
-
-    zeta: np.ndarray
-    f: np.ndarray
 
 
 def _samples(data: np.ndarray) -> np.ndarray:
@@ -120,76 +70,10 @@ def _samples(data: np.ndarray) -> np.ndarray:
     return d
 
 
-def build_pencil(data: np.ndarray) -> HankelPencil:
-    """Hankel pencil of an even-length sample vector (n = 2p >= 2)."""
-    d = _samples(data)
-    p = d.size // 2
-    ij = np.add.outer(np.arange(p), np.arange(p))
-    return HankelPencil(u0=d[ij], u1=d[ij + 1])
-
-
 def _normalize_signs(s_diag, t_diag, is_real):
     flip = is_real & (t_diag < 0.0)
     sign = np.where(flip, -1.0, 1.0)
     return s_diag * sign, t_diag * sign
-
-
-def _real_mask_from_subdiag(s_mat: np.ndarray) -> np.ndarray:
-    p = s_mat.shape[0]
-    is_real = np.ones(p, dtype=bool)
-    k = 0
-    while k < p - 1:
-        if s_mat[k + 1, k] != 0.0:
-            is_real[k] = is_real[k + 1] = False
-            k += 2
-        else:
-            k += 1
-    return is_real
-
-
-def qz(pencil: HankelPencil) -> SchurPairs:
-    """Real generalized Schur decomposition U1 = Q S Z^T, U0 = Q T Z^T.
-
-    Returns the diagonal pairs with realness flags and residual diagnostics:
-    the worst orthogonality defect of Q and Z, and the relative
-    reconstruction error of both matrices. It reduces as real_pairs_fast
-    does, through the complete QR K = Q_K R of the Hankel data matrix, runs
-    scipy's qz on (R[:, 1:], R[:, :p]) and composes Q = Q_K Q'. The residuals
-    are still those of the pencil's own matrices, and the diagonal pairs are
-    bit for bit those of real_pairs_fast at every p, unless scipy's dgges
-    first permutes the reduced pencil, which takes exact zeros in it: 7 of
-    3,000 random pencils (p <= 6) with half their samples 0.0 gave other
-    pairs, with the same counts; no record of the paper's configs did.
-    """
-    from scipy.linalg import qz as scipy_qz  # only checks call qz: a run never loads scipy.linalg
-
-    p = pencil.p
-    q_k, r = np.linalg.qr(np.hstack([pencil.u0, pencil.u1[:, -1:]]), mode="complete")
-    try:
-        s_mat, t_mat, q, z = scipy_qz(r[:, 1:], r[:, :p], output="real", lwork=8 * p + 16)
-    except Exception as exc:  # scipy raises LinAlgError-ish on no convergence
-        raise DecompositionError(f"generalized Schur iteration failed: {exc}") from exc
-    q = q_k @ q
-
-    eye = np.eye(p)
-    q_orth = max(
-        np.linalg.norm(q.T @ q - eye, "fro"), np.linalg.norm(z.T @ z - eye, "fro")
-    )
-    norm = np.linalg.norm(pencil.u1, "fro") + np.linalg.norm(pencil.u0, "fro")
-    recon = np.linalg.norm(pencil.u1 - q @ s_mat @ z.T, "fro") + np.linalg.norm(
-        pencil.u0 - q @ t_mat @ z.T, "fro"
-    )
-    structure = recon / norm if norm > 0.0 else recon
-
-    is_real = _real_mask_from_subdiag(s_mat)
-    s_diag, t_diag = _normalize_signs(np.diag(s_mat).copy(), np.diag(t_mat).copy(), is_real)
-    return SchurPairs(
-        s=s_diag,
-        t=t_diag,
-        is_real=is_real,
-        q_orth_residual=float(q_orth),
-        structure_residual=float(structure),
-    )
 
 
 def _keep_real(s: np.ndarray, t: np.ndarray, is_real: np.ndarray) -> RealPairs:
@@ -206,11 +90,6 @@ def _keep_real(s: np.ndarray, t: np.ndarray, is_real: np.ndarray) -> RealPairs:
         n_complex=n_complex,
         n_infinite=int(np.count_nonzero(~finite)),
     )
-
-
-def real_pairs(pairs: SchurPairs) -> RealPairs:
-    """Keep finite real pairs; count discarded complex and infinite ones."""
-    return _keep_real(pairs.s, pairs.t, pairs.is_real)
 
 
 # LAPACK dhgeqz, the QZ iteration on a Hessenberg-triangular pencil, bound once per
@@ -285,7 +164,7 @@ def _f2py_dgges(h, t):
     dgges reduces (h, t) again, which leaves a Hessenberg-triangular pencil as
     it is, and runs the same QZ iteration, with LAPACK's minimal workspace:
     the same bits as dhgeqz unless its balancing permutes a pencil with exact
-    zeros (see qz).
+    zeros (see oracles.qz).
     """
     from scipy.linalg import lapack  # loaded only where the ctypes binding is missing
 
@@ -337,7 +216,7 @@ def one_blas_thread():
 
 
 def real_pairs_fast(data: np.ndarray) -> RealPairs:
-    """build_pencil + qz + real_pairs from one QR and an eigenvalue-only QZ.
+    """oracles.build_pencil + qz + real_pairs from one QR and an eigenvalue-only QZ.
 
     The data are checked as build_pencil checks them. One QR of the Hankel
     data matrix K[i,j] = d[i+j] (p x (p+1), a view of d) gives R, and the QZ
@@ -359,29 +238,3 @@ def real_pairs_fast(data: np.ndarray) -> RealPairs:
     is_real = ai == 0.0
     s_diag, t_diag = _normalize_signs(ar, beta, is_real)
     return _keep_real(s_diag, t_diag, is_real)
-
-
-def vandermonde_solve(xi: np.ndarray, samples: np.ndarray) -> ExponentialFit:
-    """Amplitudes f with sum_j f_j xi_j^k = samples[k], k = 0..p-1.
-
-    xi must be distinct; the solve uses the square Vandermonde system on the
-    first p samples and checks its residual.
-    """
-    xi = np.asarray(xi, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    p = xi.size
-    if p == 0:
-        raise ValueError("need at least one ratio")
-    if samples.size < p:
-        raise ValueError(f"need at least {p} samples, got {samples.size}")
-    order = np.sort(xi)
-    if p > 1 and np.min(np.diff(order)) < 1e-12:
-        raise ValueError("ratios closer than 1e-12 make the system singular")
-    v = np.vander(xi, N=p, increasing=True).T  # v[k, j] = xi_j^k
-    rhs = samples[:p]
-    f = np.linalg.solve(v, rhs)
-    resid = np.linalg.norm(v @ f - rhs)
-    scale = np.linalg.norm(rhs)
-    if not np.all(np.isfinite(f)) or resid > 1e-8 * max(scale, 1.0):
-        raise ValueError(f"vandermonde solve ill-conditioned: residual {resid:.3e}")
-    return ExponentialFit(zeta=xi, f=f)

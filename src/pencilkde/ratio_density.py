@@ -7,7 +7,9 @@ equal-variance family (var v = var w = t, correlation rho) additionally has
 an elementary erf closed form, used as the primary evaluation path because
 it stays finite where the raw 1F1 factor overflows; closed-form first and
 second derivatives in x and the derivative in t are assembled from the
-absolute-moment integrals in `specfun`.
+absolute-moment integrals in `specfun`.  The general-covariance density,
+the 1F1 forms and the normalization integral, which only checks evaluate,
+are in `oracles`.
 """
 
 from __future__ import annotations
@@ -17,48 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import erf, hyp1f1_half_scaled, moment_recurrence, scaled_moments
+from .specfun import erf, moment_recurrence, scaled_moments
 
 TWO_PI = 2.0 * math.pi
-_SQRT_PI = math.sqrt(math.pi)
 # erf is exactly +-1.0 in double precision beyond this |z|
 _ERF_ONE = 6.0
 
 __all__ = [
-    "GeneralGaussianSpec",
     "EqualVarSpec",
-    "abc_general",
-    "density_general",
-    "density_general_hyp",
     "density_equal_var",
-    "density_equal_var_hyp",
     "derivatives",
-    "integrate_density",
 ]
-
-
-@dataclass(frozen=True)
-class GeneralGaussianSpec:
-    """Means, variances and covariance of (v, w); x = w / v."""
-
-    nu_v: float
-    nu_w: float
-    sigma2_v: float
-    sigma2_w: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("nu_v", "nu_w", "sigma2_v", "sigma2_w", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.sigma2_v <= 0.0 or self.sigma2_w <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.det <= 0.0:
-            raise ValueError("covariance matrix must be positive definite")
-
-    @property
-    def det(self) -> float:
-        return self.sigma2_v * self.sigma2_w - self.gamma * self.gamma
 
 
 @dataclass(frozen=True)
@@ -80,27 +51,6 @@ class EqualVarSpec:
             raise ValueError(f"variance t must be positive, got {self.t}")
 
 
-def abc_general(spec: GeneralGaussianSpec, x) -> tuple:
-    """(a, b, c, d): quadratic a(x) > 0, linear b(x), constant c and determinant d."""
-    x = np.asarray(x, dtype=float)
-    det = spec.det
-    two_det = 2.0 * det
-    a = (spec.sigma2_w - 2.0 * spec.gamma * x + spec.sigma2_v * x * x) / two_det
-    b = (
-        spec.sigma2_w * spec.nu_v
-        - spec.gamma * spec.nu_w
-        + (spec.sigma2_v * spec.nu_w - spec.gamma * spec.nu_v) * x
-    ) / two_det
-    c = (
-        spec.sigma2_w * spec.nu_v**2
-        - 2.0 * spec.gamma * spec.nu_w * spec.nu_v
-        + spec.sigma2_v * spec.nu_w**2
-    ) / two_det
-    if a.ndim == 0:
-        return float(a), float(b), c, det
-    return a, b, c, det
-
-
 def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
     """Exponent coefficients (a, b, c) of the equal-variance family; broadcasts."""
     denom = 2.0 * (1.0 - rho * rho) * t
@@ -108,45 +58,6 @@ def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
     b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
     c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
     return a, b, c
-
-
-def _density_stable(a, b, c, d):
-    """h = e^-c/(2 pi sqrt(d) a) 1F1(1; 1/2; b^2/a), factored through erf.
-
-    1F1(1; 1/2; z) = 1 + sqrt(pi z) e^z erf(sqrt z) turns the product into
-    e^-c + sqrt(pi) beta erf(beta) e^(z - c) with beta = b/sqrt(a); z - c <= 0
-    always (Cauchy-Schwarz on the exponent quadratic form), so nothing
-    overflows however sharp the density.
-    """
-    beta = b / np.sqrt(a)
-    z = beta * beta
-    core = np.exp(-c) + _SQRT_PI * beta * erf(beta) * np.exp(z - c)
-    return core / (TWO_PI * np.sqrt(d) * a)
-
-
-def density_general(spec: GeneralGaussianSpec, x):
-    """Density of w/v for general covariance; scalars or arrays in x."""
-    x_arr = np.asarray(x, dtype=float)
-    a, b, c, d = abc_general(spec, x_arr)
-    out = _density_stable(np.asarray(a), np.asarray(b), c, d)
-    if x_arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def _density_hyp(a: float, b: float, c: float, d: float) -> float:
-    """e^-c / (2 pi sqrt(d) a) 1F1(1; 1/2; b^2/a) from scalar coefficients.
-
-    The exponents are combined as exp(z - c) with z = b^2/a <= c, so the
-    evaluation stays finite even when both factors are out of double range.
-    """
-    z = b * b / a
-    return math.exp(z - c) / (TWO_PI * math.sqrt(d) * a) * hyp1f1_half_scaled(1.0, 0.5, z)
-
-
-def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
-    """Direct 1F1 form of the general density (cross-check path; scalar x)."""
-    return _density_hyp(*abc_general(spec, float(x)))
 
 
 def _erf(z):
@@ -356,12 +267,6 @@ def density_equal_var(spec: EqualVarSpec, x):
     return out
 
 
-def density_equal_var_hyp(spec: EqualVarSpec, x) -> float:
-    """1F1 form of the equal-variance density (cross-check path; scalar x)."""
-    a, b, c = _abc_equal_var(float(x), spec.t, spec.nu_v, spec.nu_w, spec.rho)
-    return _density_hyp(a, b, c, (1.0 - spec.rho * spec.rho) * spec.t * spec.t)
-
-
 def _moment_coefficients(x, t, nu_v, nu_w, rho) -> tuple:
     """(A_t, B_t, C_t, A_x, B_x, E_xx, F_xx, A_xx) of the moment assembly; broadcasts.
 
@@ -429,62 +334,3 @@ def derivatives(spec: EqualVarSpec, x):
     if x_arr.ndim == 0:
         return float(h_t), float(h_x), float(h_xx)
     return h_t, h_x, h_xx
-
-
-def _adaptive_simpson(f, lo, hi, tol):
-    """Recursive adaptive Simpson on [lo, hi], at most 40 halvings deep."""
-
-    def simpson(a, fa, m, fm, b, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(a, fa, lm, flm, m, fm)
-        right = simpson(m, fm, rm, frm, b, fb)
-        if depth >= 40 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return recurse(a, fa, lm, flm, m, fm, left, half, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, half, depth + 1
-        )
-
-    m = 0.5 * (lo + hi)
-    fa, fm, fb = f(lo), f(m), f(hi)
-    whole = simpson(lo, fa, m, fm, hi, fb)
-    return recurse(lo, fa, m, fm, hi, fb, whole, tol, 0)
-
-
-def integrate_density(spec) -> float:
-    """Total mass of the ratio density over the real line, to within about 1e-9.
-
-    Compactifies with x = tan(u) and integrates adaptively; the transformed
-    integrand is smooth because the density decays like 1/x^2.
-    """
-    if isinstance(spec, EqualVarSpec):
-        dens = lambda x: density_equal_var(spec, x)
-    elif isinstance(spec, GeneralGaussianSpec):
-        dens = lambda x: density_general(spec, x)
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-    def g(u):
-        cu = math.cos(u)
-        if cu == 0.0:
-            return 0.0
-        x = math.tan(u)
-        return dens(x) / (cu * cu)
-
-    half_pi = 0.5 * math.pi
-    # panel breaks at 0 and at the sharp-peak location nu_w/nu_v so a narrow
-    # mode cannot hide inside one coarse panel
-    breaks = {-half_pi, 0.0, half_pi}
-    if spec.nu_v != 0.0:
-        breaks.add(math.atan(spec.nu_w / spec.nu_v))
-    pts = sorted(breaks)
-    per_panel = 1e-9 / (len(pts) - 1)
-    return sum(
-        _adaptive_simpson(g, lo, hi, per_panel) for lo, hi in zip(pts[:-1], pts[1:])
-    )

@@ -6,8 +6,9 @@ coefficients) is assembled from the integrals
     L_n(a, b) = int_R |l| l^n exp(-a l^2 + 2 b l) dl,   a > 0,
 
 which reduce to confluent hypergeometric functions 1F1 with second parameter
-1/2 or 3/2.  This module evaluates the restricted 1F1 family, the L_n closed
-forms, and the recurrence weights that express L_3, L_4 through L_1, L_2.
+1/2 or 3/2.  This module evaluates the exp-scaled L_0, L_1, L_2 and the
+recurrence weights that express L_3, L_4 through L_1, L_2; the restricted
+1F1 family and the L_n closed forms, which only checks use, are in `oracles`.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 
 import numpy as np
 
-# power series below this, terminating asymptotic expansion above
-SERIES_Z_MAX = 30.0
 # term-ratio stopping criterion for the power series
 SERIES_RTOL = 1e-16
 # exp-scaled moment kernel: erfc-recursion branch above this b^2/a
@@ -77,125 +75,9 @@ def scipy_version() -> str:
 
 
 __all__ = [
-    "MomentParams",
-    "hyp1f1_half",
-    "hyp1f1_half_scaled",
-    "moment_L",
     "moment_recurrence",
     "scaled_moments",
 ]
-
-
-def _gamma_half(two_m: int) -> float:
-    """Exact Gamma(two_m / 2) for positive integer two_m."""
-    if two_m <= 0:
-        raise ValueError(f"need a positive half-integer argument, got {two_m}/2")
-    if two_m % 2 == 0:
-        return float(math.factorial(two_m // 2 - 1))
-    m = (two_m - 1) // 2
-    # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
-    return math.factorial(2 * m) / (4.0**m * math.factorial(m)) * _SQRT_PI
-
-
-def _check_hyp_args(h: float, k: float, z: float) -> None:
-    two_h = 2.0 * h
-    if not (math.isfinite(h) and two_h == round(two_h) and h > 0):
-        raise ValueError(f"first parameter must be a positive half-integer, got {h}")
-    if k not in (0.5, 1.5):
-        raise ValueError(f"second parameter must be 1/2 or 3/2, got {k}")
-    if not (math.isfinite(z) and z >= 0.0):
-        raise ValueError(f"argument must be finite and nonnegative, got {z}")
-
-
-def _kummer_series(h: float, k: float, z: float) -> float:
-    term = 1.0
-    total = 1.0
-    m = 0
-    while True:
-        term *= (h + m) / ((k + m) * (m + 1)) * z
-        total += term
-        m += 1
-        if term <= SERIES_RTOL * total or m > 500:
-            return total
-
-
-def _kummer_asymptotic(h: float, k: float, z: float) -> float:
-    """Large-z expansion with the e^z factor left out; z > SERIES_Z_MAX."""
-    prefac = _gamma_half(int(round(2 * k))) / _gamma_half(int(round(2 * h)))
-    term = 1.0
-    total = 1.0
-    m = 0
-    n_terms = int(h) - 1 if h == int(h) else 200
-    while m < n_terms:
-        nxt = term * (k - h + m) * (1 - h + m) / ((m + 1) * z)
-        if abs(nxt) >= abs(term):
-            break  # past the smallest term; stop at optimal truncation
-        term = nxt
-        total += term
-        m += 1
-        if abs(term) <= SERIES_RTOL * abs(total):
-            break
-    return prefac * z ** (h - k) * total
-
-
-def hyp1f1_half(h: float, k: float, z: float) -> float:
-    """Kummer's 1F1(h; k; z) for 2h a positive integer, k in {1/2, 3/2}, z >= 0.
-
-    Power series with all-positive terms for z <= SERIES_Z_MAX; otherwise the
-    large-z expansion Gamma(k)/Gamma(h) e^z z^(h-k) sum_m (k-h)_m (1-h)_m / (m! z^m),
-    which terminates for integer h and is truncated at its smallest term
-    otherwise (the neglected reflection term is O(e^-z) relative).  The true
-    value grows like e^z, so this overflows past z ~ 709; callers that pair
-    1F1 with a decaying exponential should use hyp1f1_half_scaled instead.
-    """
-    _check_hyp_args(h, k, z)
-    if z <= SERIES_Z_MAX:
-        return _kummer_series(h, k, z)
-    return math.exp(z) * _kummer_asymptotic(h, k, z)
-
-
-def hyp1f1_half_scaled(h: float, k: float, z: float) -> float:
-    """exp(-z) 1F1(h; k; z), finite for every admissible z.
-
-    Same restrictions as hyp1f1_half; the scaling keeps density evaluations
-    representable when the exponent z = b^2/a is in the thousands.
-    """
-    _check_hyp_args(h, k, z)
-    if z <= SERIES_Z_MAX:
-        return math.exp(-z) * _kummer_series(h, k, z)
-    return _kummer_asymptotic(h, k, z)
-
-
-@dataclass(frozen=True)
-class MomentParams:
-    """Parameters of the absolute-moment integral L_n(a, b)."""
-
-    a: float
-    b: float
-    n: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"quadratic coefficient a must be finite and > 0, got {self.a}")
-        if not math.isfinite(self.b):
-            raise ValueError(f"linear coefficient b must be finite, got {self.b}")
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"moment order n must be a nonnegative integer, got {self.n}")
-
-
-def moment_L(params: MomentParams) -> float:
-    """Closed form of L_n(a, b) = int |l| l^n exp(-a l^2 + 2 b l) dl.
-
-    Even n:  a^-(2+n)/2 Gamma((2+n)/2) 1F1((2+n)/2; 1/2; b^2/a)
-    Odd n:  2 b a^-(3+n)/2 Gamma((3+n)/2) 1F1((3+n)/2; 3/2; b^2/a)
-    """
-    a, b, n = params.a, params.b, params.n
-    z = b * b / a
-    if n % 2 == 0:
-        half = (2 + n) / 2.0
-        return a**-half * _gamma_half(2 + n) * hyp1f1_half(half, 0.5, z)
-    half = (3 + n) / 2.0
-    return 2.0 * b * a**-half * _gamma_half(3 + n) * hyp1f1_half(half, 1.5, z)
 
 
 def moment_recurrence(a, b):

@@ -4,13 +4,9 @@ term-relative evolution-equation residual used by several suites."""
 import numpy as np
 import pytest
 
+from pencilkde.oracles import GeneralGaussianSpec
 from pencilkde.pde import SingularPointError, pde_coefficients, singular_mask
-from pencilkde.ratio_density import (
-    EqualVarSpec,
-    GeneralGaussianSpec,
-    density_equal_var,
-    derivatives,
-)
+from pencilkde.ratio_density import EqualVarSpec, density_equal_var, derivatives
 
 
 def random_equal_var_spec(rng, mu_range=(0.3, 1.2), rho_max=0.95, log_t=(-3, 0)):

@@ -17,19 +17,23 @@ import scipy.integrate
 from pencilkde.harness import ExperimentConfig, emit, run
 from pencilkde.kde import EigenSample, extract_modes, gaussian_estimate
 from pencilkde.multiexp import noiseless
-from pencilkde.pencil import build_pencil, qz, real_pairs, vandermonde_solve
-from pencilkde.pde import residual, singular_mask
-from pencilkde.ratio_density import (
-    EqualVarSpec,
+from pencilkde.oracles import (
     GeneralGaussianSpec,
-    density_equal_var,
+    MomentParams,
+    build_pencil,
     density_equal_var_hyp,
     density_general,
     density_general_hyp,
-    derivatives,
     integrate_density,
+    moment_L,
+    qz,
+    real_pairs,
+    residual,
+    vandermonde_solve,
 )
-from pencilkde.specfun import MomentParams, moment_L, moment_recurrence
+from pencilkde.pde import singular_mask
+from pencilkde.ratio_density import EqualVarSpec, density_equal_var, derivatives
+from pencilkde.specfun import moment_recurrence
 
 from conftest import random_equal_var_spec, random_general_spec, term_relative_residual
 

@@ -1,7 +1,7 @@
-"""Every exported name resolves; a run, its emit and an estimate load none of scipy,
-scipy.special, scipy.optimize, scipy.linalg, scipy.fft or multiprocessing, a serial run
-neither numpy.ma nor concurrent.futures nor a second OpenBLAS, but numpy.fft; erf falls
-back to scipy.special's."""
+"""Every exported name resolves; a run, its emit and every subcommand load none of
+scipy, scipy.special, scipy.optimize, scipy.linalg, scipy.fft, multiprocessing or
+pencilkde.oracles, a serial run neither numpy.ma nor concurrent.futures nor a second
+OpenBLAS, but numpy.fft; erf falls back to scipy.special's."""
 
 import hashlib
 import importlib
@@ -54,6 +54,8 @@ def test_run_imports_no_scipy_special_optimize_or_linalg():
 import dataclasses, json, sys, tempfile
 from pathlib import Path
 import numpy as np
+import pencilkde
+print("pencilkde.oracles" in sys.modules)
 from pencilkde import cli
 from pencilkde.harness import ExperimentConfig, emit, run
 from pencilkde.multiexp import Dataset, SignalModel, generate, write_dataset_csv
@@ -80,17 +82,26 @@ with tempfile.TemporaryDirectory() as out:
     write_dataset_csv(data, Dataset(data=np.stack([generate(model, 7, r) for r in range(20)])))
     argv = ["estimate", f"--data={data}", "--window=0.3,1.1", "--points=64", f"--out={out}/e"]
     assert cli.main(argv) == 0
+    spec = ["--t=0.01", "--nu-w=0.8", "--rho=0.3", "--xmin=0.5", "--xmax=1.2", "--points=32"]
+    assert cli.main(["density", *spec, f"--out={out}/h.csv"]) == 0
+    assert cli.main(["pde-check", *spec, f"--out={out}/pde.csv"]) == 0
+    assert cli.main(["modes", f"--density={out}/e/density.csv", "--tau=0.5"]) == 0
+print("pencilkde.oracles" in sys.modules)
 print(loaded())
+spec = pencilkde.GeneralGaussianSpec
+print(spec is sys.modules["pencilkde.oracles"].GeneralGaussianSpec)
 """)
+    # the paper oracles load on first use of their names, and no run or subcommand uses them
+    assert (lines[0], lines[-3], lines[-1]) == ("False", "False", "True")
     # the f2py fallback of the QZ is the one user of scipy.linalg in a run
     after = "[]" if pencil.QZ == "ctypes" else "['scipy', 'scipy.linalg']"
-    assert (lines[0], lines[1], lines[4], lines[-1]) == ("[]", "[]", scipy.__version__, after)
+    assert (lines[1], lines[2], lines[5], lines[-2]) == ("[]", "[]", scipy.__version__, after)
     # the binned Gaussian estimate transforms with numpy's own pocketfft
-    assert lines[2] == "['numpy.fft']"
+    assert lines[3] == "['numpy.fft']"
     # one OpenBLAS mapped: numpy's, which also serves the QZ
     blas = pencil._openblas
-    if lines[3] != "None" and blas is not None:
-        assert lines[3] == repr([str(blas.path)])
+    if lines[4] != "None" and blas is not None:
+        assert lines[4] == repr([str(blas.path)])
 
 
 def test_erf_falls_back_to_scipy_special(tmp_path):

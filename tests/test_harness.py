@@ -495,7 +495,6 @@ class TestEmit:
             "nfev": list(fit.nfev),
             "converged_starts": fit.n_converged,
             "at_t_cap": fit.at_t_cap,
-            "at_rho_cap": fit.at_rho_cap,
             "rho_near_boundary": 1.0 - abs(fit.rho0) < 1e-6,
             "search_bins": fit.search_bins,
         }
@@ -511,7 +510,7 @@ class TestEmit:
         for name in ("densities.csv", "modes.json", "params.json"):
             text = (tmp_path / name).read_text()
             assert "nfev" not in text and "converged_starts" not in text
-            assert "at_rho_cap" not in text and "rho_near_boundary" not in text
+            assert "rho_near_boundary" not in text
             assert "search_bins" not in text
 
     def test_gaussian_diagnostics_in_metadata_only(self, micro_report, tmp_path):
@@ -899,8 +898,7 @@ class TestCli:
                               "--points=64", "--tau=0.5", f"--out={out}"])
         assert code == 0
         meta = json.loads((out / "metadata.json").read_text())
-        keys = {"nfev", "converged_starts", "at_t_cap", "at_rho_cap", "rho_near_boundary",
-                "search_bins"}
+        keys = {"nfev", "converged_starts", "at_t_cap", "rho_near_boundary", "search_bins"}
         assert set(meta["fit"]) == keys
         assert len(meta["fit"]["nfev"]) == kde.N_STARTS and meta["fit"]["search_bins"] == 64
         assert meta["workers"] == harness.decompose_workers(available_cpus(), 40)

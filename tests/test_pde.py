@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from pencilkde.oracles import _poly_terms, g_coefficients, residual
 from pencilkde.pde import (
     SingularPointError,
     _coeffs_raw,
     _diffusion_at_centers,
     _poly_coeff_arrays,
-    _poly_terms,
     cubic_real_roots,
-    g_coefficients,
     pde_coefficients,
-    residual,
     singular_mask,
 )
 from pencilkde.ratio_density import EqualVarSpec, density_equal_var, derivatives

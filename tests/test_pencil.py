@@ -17,13 +17,8 @@ from scipy.linalg import lapack
 from pencilkde import pencil
 from pencilkde.harness import ExperimentConfig
 from pencilkde.multiexp import generate, noiseless
-from pencilkde.pencil import (
-    build_pencil,
-    qz,
-    real_pairs,
-    real_pairs_fast,
-    vandermonde_solve,
-)
+from pencilkde.oracles import build_pencil, qz, real_pairs, vandermonde_solve
+from pencilkde.pencil import real_pairs_fast
 
 MODEL1_ZETA = np.array([0.8, 0.9, 0.95])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

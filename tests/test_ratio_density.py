@@ -10,20 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from pencilkde.oracles import (
+    GeneralGaussianSpec,
+    abc_general,
+    density_equal_var_hyp,
+    density_general,
+    density_general_hyp,
+    integrate_density,
+)
 from pencilkde.ratio_density import (
     _abc_equal_var,
     _erf,
     _h_erf_raw,
     _RatioKernel,
     EqualVarSpec,
-    GeneralGaussianSpec,
-    abc_general,
     density_equal_var,
-    density_equal_var_hyp,
-    density_general,
-    density_general_hyp,
     derivatives,
-    integrate_density,
 )
 
 from conftest import random_equal_var_spec, random_general_spec, sample_ratios

@@ -11,14 +11,8 @@ from scipy import integrate, special
 
 from pencilkde import specfun
 from pencilkde.ratio_density import _erf as erf
-from pencilkde.specfun import (
-    MomentParams,
-    hyp1f1_half,
-    hyp1f1_half_scaled,
-    moment_L,
-    moment_recurrence,
-    scaled_moments,
-)
+from pencilkde.oracles import MomentParams, hyp1f1_half, hyp1f1_half_scaled, moment_L
+from pencilkde.specfun import moment_recurrence, scaled_moments
 
 SUPPORTED_HK = [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5), (2.0, 1.5), (3.0, 1.5),
                 (2.5, 0.5), (3.5, 1.5)]
