@@ -1,10 +1,11 @@
 """Monte Carlo experiment driver: simulate, decompose, estimate, emit.
 
 A run generates N_ref noisy replications of a multiexponential signal,
-decomposes each into sign-normalized real Schur pairs, builds the reference
-histogram from all of them and both density estimates from the first R, and
-reports fitted parameters, bandwidths, modes, counts, and per-phase timing.
-Records decompose on a thread pool, each record alone; every reduction runs
+decomposes the first R into sign-normalized real Schur pairs and the rest
+into real eigenvalues alone, builds the reference histogram from all of
+them and both density estimates from the first R, and reports fitted
+parameters, bandwidths, modes, counts, and per-phase timing. Records
+decompose on a thread pool, each record alone; every reduction runs
 afterwards in replication order, so reports are identical for any worker
 count.
 """
@@ -29,8 +30,8 @@ from .kde import (
     EigenSample,
     FitResult,
     GaussianPlan,
-    Mode,
     ProposedGrid,
+    RatioSample,
     _bin_grid,
     _check_tau,
     bandwidth_t_star_details,
@@ -46,7 +47,7 @@ from .kde import (
     proposed_estimate,
 )
 from .multiexp import N_MAX, SignalModel, generate, select_n
-from .pencil import real_pairs_fast
+from .pencil import real_pairs_fast, real_ratios_fast
 from .specfun import ERF, scipy_version
 
 METHODS = ("gaussian", "proposed", "both")
@@ -190,10 +191,13 @@ class ExperimentReport:
     skipped_components: int
     counts: dict
     timings: dict = field(default_factory=dict)
-    # the decomposition's threads and QZ binding, and how the Gaussian
-    # estimate was evaluated, for metadata.json
+    # the decomposition's threads, its QZ and T^-1 H bindings, how many records
+    # decomposed which way, and how the Gaussian estimate was evaluated, for
+    # metadata.json
     workers: int = 1
     qz: str = ""
+    hqr: str | None = None
+    decomposition: dict = field(default_factory=dict)
     gaussian_plan: GaussianPlan | None = None
     # the first R records' eigenvalues, which both estimates smooth
     sample: EigenSample | None = None
@@ -216,17 +220,22 @@ def decompose_workers(threads: int, n: int) -> int:
     return max(1, min(threads, available_cpus(), n))
 
 
-def decompose_records(record, n: int, threads: int) -> list:
-    """[real_pairs_fast(record(i)) for i in range(n)]: each record's RealPairs, in order.
+def decompose_records(record, n: int, threads: int, *, pairs: int | None = None) -> list:
+    """Each record's RealPairs, in order; past the first pairs records, its RealRatios.
 
-    The records run on decompose_workers(threads, n) threads, on a thread
-    pool when there are several, with the bound OpenBLAS pinned to one thread
-    meanwhile: each record's QZ runs alone on one thread, whichever it is.
+    Record i < pairs (every record when pairs is None) is real_pairs_fast(
+    record(i)), and the rest real_ratios_fast(record(i)). The records run on
+    decompose_workers(threads, n) threads, on a thread pool when there are
+    several, with the bound OpenBLAS pinned to one thread meanwhile: each
+    record's decomposition runs alone on one thread, whichever it is.
     """
+    pairs = n if pairs is None else pairs
 
     def one(i):
-        # a module global, looked up per call, so perfbench's tracer can wrap it
-        return real_pairs_fast(record(i))
+        # module globals, looked up per call, so perfbench's tracer can wrap them
+        if i < pairs:
+            return real_pairs_fast(record(i))
+        return real_ratios_fast(record(i))
 
     workers = decompose_workers(threads, n)
     with pencil.one_blas_thread():
@@ -239,23 +248,36 @@ def decompose_records(record, n: int, threads: int) -> list:
             return list(pool.map(one, range(n)))
 
 
-def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1) -> list:
+def decompose_replications(model: SignalModel, seed: int, n_rep: int, threads: int = 1, *,
+                           pairs: int | None = None) -> list:
     """decompose_records of the model's replications 0 .. n_rep - 1 under seed."""
     # generate is a module global, looked up per call, as real_pairs_fast is
-    return decompose_records(lambda r: generate(model, seed, r), n_rep, threads)
+    return decompose_records(lambda r: generate(model, seed, r), n_rep, threads, pairs=pairs)
+
+
+def _counts(records: list) -> dict:
+    """The kept and discarded eigenvalue counts of a list of RealPairs or RealRatios."""
+    counts = {
+        "real_kept": int(sum(p.ratio.size for p in records)),
+        "complex_discarded": int(sum(p.n_complex for p in records)),
+        "infinite_discarded": int(sum(p.n_infinite for p in records)),
+    }
+    counts["blocks_total"] = sum(counts.values())
+    return counts
 
 
 def sample_from_pairs(pairs: list) -> tuple:
     """(EigenSample, counts dict) from a list of RealPairs."""
-    counts = {
-        "real_kept": int(sum(p.ratio.size for p in pairs)),
-        "complex_discarded": int(sum(p.n_complex for p in pairs)),
-        "infinite_discarded": int(sum(p.n_infinite for p in pairs)),
-    }
-    counts["blocks_total"] = sum(counts.values())
+    counts = _counts(pairs)
     sample = EigenSample(s=[p.s for p in pairs], t=[p.t for p in pairs],
                          ratio=[p.ratio for p in pairs], blocks_total=counts["blocks_total"])
     return sample, counts
+
+
+def _ratio_sample(records: list) -> tuple:
+    """(RatioSample, counts dict) from a list of RealPairs or RealRatios: no s, no t."""
+    counts = _counts(records)
+    return RatioSample([p.ratio for p in records], blocks_total=counts["blocks_total"]), counts
 
 
 def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, method: str):
@@ -306,17 +328,24 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         timings[name] = time.perf_counter() - start
         return result
 
-    pairs = _phase(
+    # only the estimates read pairs: the other records' eigenvalues fill the histogram
+    records = _phase(
         "decompose",
         decompose_replications,
         config.model,
         config.seed,
         config.N_ref,
         config.threads,
+        pairs=config.R,
     )
-    ref_sample, ref_counts = sample_from_pairs(pairs)
-    est_sample, est_counts = sample_from_pairs(pairs[: config.R])
-    del pairs  # both samples hold flat copies: free the per-record arrays
+    ref_sample, ref_counts = _ratio_sample(records)
+    est_sample, est_counts = sample_from_pairs(records[: config.R])
+    decomposition = {
+        "pairs": config.R,
+        "eigenvalues": config.N_ref - config.R,
+        "eigenvalues_by_qz": sum(rec.qz for rec in records[config.R:]),
+    }
+    del records  # both samples hold flat copies: free the per-record arrays
 
     def _histograms():
         reference = empirical_density(ref_sample, config.window, config.points)
@@ -344,8 +373,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         config=config, reference=reference, counts=counts, timings=timings,
-        workers=decompose_workers(config.threads, config.N_ref), qz=pencil.QZ,
-        sample=est_sample, **est
+        workers=decompose_workers(config.threads, config.N_ref), qz=pencil.QZ, hqr=pencil.HQR,
+        decomposition=decomposition, sample=est_sample, **est
     )
 
 
@@ -464,6 +493,7 @@ def emit(report: ExperimentReport, out_dir) -> list:
 
     _write(out / "metadata.json", _metadata_json(
         report.fit, report.gaussian_plan, report.proposed, seed=cfg.seed, threads=cfg.threads,
-        workers=report.workers, qz=report.qz, timings=report.timings,
+        workers=report.workers, qz=report.qz, hqr=report.hqr,
+        decomposition=report.decomposition, timings=report.timings,
     ))
     return written

@@ -55,6 +55,7 @@ MAX_FFT = 2**22
 _UNIFORM_SD = 1e-9
 
 __all__ = [
+    "RatioSample",
     "EigenSample",
     "DensityGrid",
     "FitResult",
@@ -90,26 +91,21 @@ class Mode:
     height: float
 
 
-class EigenSample:
-    """The sign-normalized real Schur pairs of R replications and their ratios, pooled.
+class RatioSample:
+    """The real eigenvalue ratios of R replications, pooled, without their pairs.
 
-    s, t and ratio hold every replication's pairs end to end, in replication
-    order: replication r is the slice offsets[r]:offsets[r + 1]. weight is
-    each eigenvalue's mass 1/(R p_r), p_r its replication's count.
-    blocks_total is the nominal eigenvalue count R*p before complex and
-    infinite pairs were discarded; 0 means unknown.
+    ratio holds every replication's ratios end to end, in replication order:
+    replication r is the slice offsets[r]:offsets[r + 1]. weight is each
+    eigenvalue's mass 1/(R p_r), p_r its replication's count. blocks_total
+    is the nominal eigenvalue count R*p before complex and infinite
+    eigenvalues were discarded; 0 means unknown. The histogram and the
+    outside count read no more.
     """
 
-    def __init__(self, s, t, ratio, blocks_total: int = 0):
-        """The sample of the per-replication sequences s[r], t[r] and ratio[r]."""
-        if not len(s) == len(t) == len(ratio):
-            raise ValueError("per-replication lists must have equal length")
+    def __init__(self, ratio, blocks_total: int = 0):
+        """The sample of the per-replication sequences ratio[r]."""
         sizes = [len(a) for a in ratio]
-        if [len(a) for a in s] != sizes or [len(a) for a in t] != sizes:
-            raise ValueError("each replication needs as many s and t values as ratios")
-        self.s, self.t, self.ratio = (
-            np.concatenate([[], *parts], dtype=float) for parts in (s, t, ratio)
-        )
+        self.ratio = np.concatenate([[], *ratio], dtype=float)
         self.offsets = np.cumsum([0, *sizes])
         # an empty replication repeats no weight, so its divisor only has to be nonzero
         self.weight = np.repeat(1.0 / (self.R * np.maximum(sizes, 1)), sizes)
@@ -123,6 +119,24 @@ class EigenSample:
         """(start, end) of each replication that kept an eigenvalue, in replication order."""
         offsets = self.offsets.tolist()
         return [(a, b) for a, b in zip(offsets[:-1], offsets[1:]) if a < b]
+
+
+class EigenSample(RatioSample):
+    """The sign-normalized real Schur pairs of R replications and their ratios, pooled.
+
+    s and t hold every replication's pairs end to end, aligned with ratio
+    (RatioSample), which the estimates and their bandwidths read with them.
+    """
+
+    def __init__(self, s, t, ratio, blocks_total: int = 0):
+        """The sample of the per-replication sequences s[r], t[r] and ratio[r]."""
+        if not len(s) == len(t) == len(ratio):
+            raise ValueError("per-replication lists must have equal length")
+        sizes = [len(a) for a in ratio]
+        if [len(a) for a in s] != sizes or [len(a) for a in t] != sizes:
+            raise ValueError("each replication needs as many s and t values as ratios")
+        super().__init__(ratio, blocks_total)
+        self.s, self.t = (np.concatenate([[], *parts], dtype=float) for parts in (s, t))
 
 
 @dataclass
@@ -189,7 +203,7 @@ def _bin_grid(window, bins: int):
     return edges, centers
 
 
-def empirical_density(sample: EigenSample, window, bins: int) -> DensityGrid:
+def empirical_density(sample: RatioSample, window, bins: int) -> DensityGrid:
     """Weighted histogram of pooled eigenvalue ratios on bin centers.
 
     Each eigenvalue of replication r carries mass 1/(R p_r); values outside
@@ -203,7 +217,7 @@ def empirical_density(sample: EigenSample, window, bins: int) -> DensityGrid:
     return DensityGrid(x=centers, y=hist / width)
 
 
-def count_outside(sample: EigenSample, window) -> int:
+def count_outside(sample: RatioSample, window) -> int:
     """Eigenvalues excluded from the window by empirical_density."""
     lo, hi = float(window[0]), float(window[1])
     return int(np.count_nonzero((sample.ratio < lo) | (sample.ratio > hi)))

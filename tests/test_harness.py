@@ -34,7 +34,7 @@ from pencilkde.kde import empirical_density
 from pencilkde.multiexp import N_MAX, Dataset, SignalModel, generate, write_dataset_csv
 from pencilkde.pde import SingularPointError
 from pencilkde.ratio_density import EqualVarSpec, density_equal_var
-from pencilkde.pencil import DecompositionError
+from pencilkde.pencil import DecompositionError, RealRatios
 
 MICRO_MODEL = SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=1e-3, n=8)
 
@@ -336,20 +336,55 @@ class TestRun:
     def test_drops_per_record_pairs_before_estimating(self, monkeypatch):
         # both samples hold flat copies, so no record's RealPairs outlives them
         refs = []
-        real_pairs_fast, estimate_pipeline = harness.real_pairs_fast, harness.estimate_pipeline
+        estimate_pipeline = harness.estimate_pipeline
 
-        def keep_ref(data):
-            pairs = real_pairs_fast(data)
-            refs.append(weakref.ref(pairs.ratio))
-            return pairs
+        def keep_ref(decompose):
+            def record(data):
+                pairs = decompose(data)
+                refs.append(weakref.ref(pairs.ratio))
+                return pairs
+
+            return record
 
         def all_dead(*args, **kwargs):
             assert len(refs) == 40 and all(ref() is None for ref in refs)
             return estimate_pipeline(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "real_pairs_fast", keep_ref)
+        for name in ("real_pairs_fast", "real_ratios_fast"):
+            monkeypatch.setattr(harness, name, keep_ref(getattr(harness, name)))
         monkeypatch.setattr(harness, "estimate_pipeline", all_dead)
         run(micro_config())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_eigenvalue_only_records_same_bytes(self, threads, monkeypatch, tmp_path):
+        # records R .. N_ref - 1 by T^-1 H, by real_pairs_fast's ratios (every record
+        # decomposed as if pairs were needed) and by the QZ without the binding: the
+        # same artifacts
+        bound = pencil.HQR
+        emit(run(micro_config(threads=threads)), tmp_path / "hqr")
+
+        def by_pairs(data):
+            pairs = pencil.real_pairs_fast(data)
+            return RealRatios(pairs.ratio, pairs.n_complex, pairs.n_infinite, qz=True)
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "real_ratios_fast", by_pairs)
+            emit(run(micro_config(threads=threads)), tmp_path / "pairs")
+        monkeypatch.setattr(pencil, "_hqr", None)
+        monkeypatch.setattr(pencil, "HQR", None)
+        emit(run(micro_config(threads=threads)), tmp_path / "qz")
+        for case in ("hqr", "qz"):
+            for name in ("densities.csv", "modes.json", "params.json"):
+                assert (tmp_path / case / name).read_bytes() == (
+                    tmp_path / "pairs" / name).read_bytes()
+        hqr, qz = (json.loads((tmp_path / case / "metadata.json").read_text())
+                   for case in ("hqr", "qz"))
+        assert (hqr["hqr"], qz["hqr"]) == (bound, None)
+        assert qz["decomposition"] == {"pairs": 20, "eigenvalues": 20, "eigenvalues_by_qz": 20}
+        by_qz = hqr["decomposition"].pop("eigenvalues_by_qz")
+        assert hqr["decomposition"] == {"pairs": 20, "eigenvalues": 20}
+        assert by_qz < 20 if bound else by_qz == 20
+        assert "eigenvalues" not in (tmp_path / "hqr" / "params.json").read_text()
 
     def test_f2py_fallback_same_bits_one_worker(self, micro_report, monkeypatch, tmp_path):
         # as if no OpenBLAS were found: no library, f2py's dgges, no pool
@@ -357,10 +392,12 @@ class TestRun:
         monkeypatch.setattr(pencil, "_openblas", None)
         monkeypatch.setattr(pencil, "_qz", pencil._f2py_dgges)
         monkeypatch.setattr(pencil, "QZ", "f2py")
+        monkeypatch.setattr(pencil, "_hqr", None)
+        monkeypatch.setattr(pencil, "HQR", None)
         # any pool would fail
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         report = run(micro_config(threads=4))
-        assert (report.workers, report.qz) == (1, "f2py")
+        assert (report.workers, report.qz, report.hqr) == (1, "f2py", None)
         emit(report, tmp_path / "f2py")
         emit(micro_report, tmp_path / "ctypes")
         for name in ("densities.csv", "modes.json", "params.json"):
@@ -369,6 +406,12 @@ class TestRun:
             ).read_bytes()
         meta = json.loads((tmp_path / "f2py" / "metadata.json").read_text())
         assert (meta["threads"], meta["workers"], meta["qz"]) == (4, 1, "f2py")
+
+    def test_one_pool_for_pairs_and_eigenvalues(self, pool_sizes):
+        if pencil.QZ != "ctypes" or available_cpus() < 2:
+            pytest.skip("needs the ctypes binding and two CPUs")
+        run(micro_config(threads=2))
+        assert pool_sizes == [2]
 
     def test_estimate_bits_independent_of_blas_threads(self):
         # J^T r over 2**18 residuals splits across OpenBLAS threads, which changes its
@@ -1153,6 +1196,11 @@ class TestDecompositionFailure:
     def test_real_pairs_fast_raises(self):
         with pytest.raises(DecompositionError, match="info=1"):
             pencil.real_pairs_fast(generate(MICRO_MODEL, seed=7, r=0))
+
+    def test_real_ratios_fast_raises_when_it_falls_back(self, monkeypatch):
+        monkeypatch.setattr(pencil, "_hqr", None)
+        with pytest.raises(DecompositionError, match="info=1"):
+            pencil.real_ratios_fast(generate(MICRO_MODEL, seed=7, r=0))
 
     def test_run_reports_decompose_phase(self):
         with pytest.raises(PhaseError) as info:

@@ -16,9 +16,9 @@ from scipy.linalg import lapack
 
 from pencilkde import pencil
 from pencilkde.harness import ExperimentConfig
-from pencilkde.multiexp import generate, noiseless
+from pencilkde.multiexp import SignalModel, generate, noiseless
 from pencilkde.oracles import build_pencil, qz, real_pairs, vandermonde_solve
-from pencilkde.pencil import real_pairs_fast
+from pencilkde.pencil import real_pairs_fast, real_ratios_fast
 
 MODEL1_ZETA = np.array([0.8, 0.9, 0.95])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -265,6 +265,79 @@ class TestOneQrReduction:
             build_pencil(np.array(data))
         with pytest.raises(ValueError):
             real_pairs_fast(np.array(data))
+        with pytest.raises(ValueError):
+            real_ratios_fast(np.array(data))
+
+
+def _same_ratio_bits(a, b):
+    """a and b (RealPairs or RealRatios) hold the same ratio bits and counts."""
+    assert np.array_equal(_bits(a.ratio), _bits(b.ratio))
+    assert (a.n_complex, a.n_infinite) == (b.n_complex, b.n_infinite)
+
+
+class TestRealRatiosFast:
+    """Eigenvalues alone: T^-1 H by the Hessenberg QR, or the QZ below RCOND_MIN."""
+
+    def test_model1_matches_real_pairs_fast(self):
+        config = ExperimentConfig.from_json_file(CONFIGS / "model1.json")
+        lo, hi = config.window
+        worst, by_hqr = 0.0, 0
+        for r in range(200):
+            d = generate(config.model, 5, r)
+            want, got = real_pairs_fast(d), real_ratios_fast(d)
+            assert (got.ratio.size, got.n_complex, got.n_infinite) == (
+                want.ratio.size, want.n_complex, want.n_infinite)
+            by_hqr += not got.qz
+            a, b = np.sort(want.ratio), np.sort(got.ratio)
+            inside = (a >= lo) & (a <= hi)
+            assert np.array_equal(inside, (b >= lo) & (b <= hi))
+            rel = np.abs(b[inside] - a[inside]) / np.abs(a[inside])
+            worst = max(worst, float(rel.max(initial=0.0)))
+        assert worst <= 1e-10
+        assert (by_hqr > 0) == (pencil.HQR is not None)
+        print(f"model1: {by_hqr}/200 by the Hessenberg QR, worst relative ratio {worst:.2e}")
+
+    def test_model2_falls_back_to_the_same_bits(self):
+        # p = 163: rcond_1(T) is 1e-13 to 3e-12 on seed 0, far below RCOND_MIN
+        config = ExperimentConfig.from_json_file(CONFIGS / "model2.json")
+        d = generate(config.model, 0, 0)
+        got = real_ratios_fast(d)
+        assert got.qz
+        _same_ratio_bits(got, real_pairs_fast(d))
+
+    def test_singular_t_falls_back(self):
+        # noiseless, two components at p = 4: T has rank 2
+        d = generate(SignalModel(zeta=(0.5, 0.9), f=(1.0, 1.0), sigma=0.0, n=8), 0, 0)
+        got = real_ratios_fast(d)
+        assert got.qz
+        _same_ratio_bits(got, real_pairs_fast(d))
+
+    def test_failed_iteration_falls_back(self, monkeypatch):
+        blas = pencil._openblas
+        if blas is None:
+            pytest.skip("no OpenBLAS library is bound")
+        lib = ctypes.CDLL(str(blas.path))
+
+        def hseqr(*args):
+            # the iteration failed to converge: INFO (argument 14) > 0
+            ctypes.c_int64.from_address(args[13]).value = 1
+
+        hqr = pencil._ctypes_hqr(lib.scipy_dtrcon_64_, lib.scipy_dtrsm_64_, hseqr)
+        monkeypatch.setattr(pencil, "_hqr", hqr)
+        config = ExperimentConfig.from_json_file(CONFIGS / "model1.json")
+        d = generate(config.model, 5, 0)
+        got = real_ratios_fast(d)
+        assert got.qz
+        _same_ratio_bits(got, real_pairs_fast(d))
+
+    def test_without_binding_every_record_runs_the_qz(self, monkeypatch):
+        monkeypatch.setattr(pencil, "_hqr", None)
+        config = ExperimentConfig.from_json_file(CONFIGS / "model1.json")
+        for r in range(3):
+            d = generate(config.model, 5, r)
+            got = real_ratios_fast(d)
+            assert got.qz
+            _same_ratio_bits(got, real_pairs_fast(d))
 
 
 def _bits(a):
@@ -390,10 +463,11 @@ class TestDggevBindings:
         read_only.flags.writeable = False
         for bad in (u.astype(np.float32), np.ascontiguousarray(u), u[:, ::-1], u[:3],
                     u[::2, ::2], read_only):
-            with pytest.raises(ValueError):
-                pencil._qz(bad, u.copy(order="F"))
-            with pytest.raises(ValueError):
-                pencil._qz(u.copy(order="F"), bad)
+            for binding in (pencil._qz, pencil._hqr):
+                with pytest.raises(ValueError):
+                    binding(bad, u.copy(order="F"))
+                with pytest.raises(ValueError):
+                    binding(u.copy(order="F"), bad)
 
     def test_counts_complex_and_infinite_pairs(self, monkeypatch):
         # +-i, and a constant det(U1 - x U0): the same pairs and counts through either
@@ -433,6 +507,7 @@ class TestDggevBindings:
         monkeypatch.setattr(ctypes, "CDLL", no_library)
         bare = _fresh_pencil(monkeypatch)
         assert (bare._openblas, bare._qz, bare.QZ) == (None, bare._f2py_dgges, "f2py")
+        assert (bare._hqr, bare.HQR) == (None, None)
 
     def test_library_without_the_symbols_is_skipped(self, tmp_path):
         # a shared library that loads under the OpenBLAS name but exports no dhgeqz
