@@ -20,15 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde as _pde
-from .ratio_density import TWO_PI, _derivs_raw, _RatioKernel
+from .ratio_density import TWO_PI, _derivs_erf_raw, _RatioKernel
 
 # components per chunk when broadcasting kernels against evaluation grids
 CHUNK = 512
 # the proposed mixture cuts each component where its Gaussian exponent passes
-# -_KERNEL_REACH: every factor it computes is a normal double, at least e^-100,
-# and what it drops is below e^-100 (3.7e-44) of the component's own scale.
-# Between about -708 and -745 exp returns subnormals, at 100 times the cost
-_KERNEL_REACH = 100.0
+# -_KERNEL_REACH: what it drops is below e^-45 (2.9e-20) of the component's own
+# scale, and the bound on the mixture's error is about 1e-17 of its peak on the
+# model2 paper config and at most 1.7e-16, about an ulp, on model1's. At 40 it
+# is 1.9e-15 on model2, several ulps
+_KERNEL_REACH = 45.0
 # multi-start count for the reference fit
 N_STARTS = 6
 # a histogram of n bins with k = n // COARSE_BINS >= _MIN_MERGE, k dividing n,
@@ -714,10 +715,12 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
     averages 1/sqrt(D) over the eigenvalue sample with weights 1/(R p_r),
     with the diffusion coefficient D of the unit-denominator pair at the
     pooled correlation rho_hat, variance fit.t0, evaluated at the
-    eigenvalue's own position; eigenvalues with nonpositive or singular D
-    there are skipped and counted. ||h_t||^2 is the squared L2 norm, over
-    the window extended by WINDOW_EXTEND, of the variance derivative of the
-    fitted reference density itself at (fit.t0, fit.mu0, fit.rho0).
+    eigenvalue's own position (pde._diffusion_at_centers); eigenvalues where
+    D is not finite or not positive, as where the eigenvalue equals rho_hat,
+    are skipped and counted. ||h_t||^2 is the squared L2 norm, over the window
+    extended by WINDOW_EXTEND, of the variance derivative of the fitted
+    reference density itself at (fit.t0, fit.mu0, fit.rho0), from the erf
+    closed form (ratio_density._derivs_erf_raw).
     """
     t0 = float(fit.t0)
     rho = float(rho_hat)
@@ -730,8 +733,8 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
     weights = sample.weight
 
     # E[1/sqrt(D)]: D at the eigenvalue's own position x = ratio
-    d, den, scale = _pde._diffusion_at_centers(rho, t0, sample.ratio)
-    valid = (np.abs(den) > _pde.EPS_DENOM * np.maximum(scale, 1e-300)) & (d > 0.0)
+    d = _pde._diffusion_at_centers(rho, t0, sample.ratio)
+    valid = np.isfinite(d) & (d > 0.0)
     skipped = int(np.count_nonzero(~valid))
     if not np.any(valid):
         raise ValueError("no component has positive diffusion at its center")
@@ -740,7 +743,7 @@ def bandwidth_t_star_details(sample: EigenSample, fit: FitResult, rho_hat: float
 
     # || d/dt h ||_2^2 of the fitted reference density
     nodes, gl_w = _gl_nodes(window)
-    h_t, _, _ = _derivs_raw(nodes, t0, 1.0, fit.mu0, fit.rho0)
+    h_t, _, _ = _derivs_erf_raw(nodes, t0, 1.0, fit.mu0, fit.rho0)
     norm_term = float((h_t * h_t) @ gl_w)
 
     if norm_term <= 0.0:

@@ -1,15 +1,16 @@
 """Paper formulas that the tests and acceptance criteria 01-08 check the package against.
 
-The estimator needs only the equal-variance erf form of the ratio density,
-the diffusion coefficient at each eigenvalue and eigenvalue-only QZ pairs.
-The paper's other forms prove its identities, and live here: the full
-generalized Schur form of the Hankel pencil with its residual diagnostics
-and the Vandermonde amplitude solve; the restricted 1F1 family and the
-moment integrals L_n; the general-covariance ratio density and the 1F1
-forms of both densities (Hinkley, Biometrika 1969), with their normalization
-integral; and the moment-form coefficients and residual of the evolution
-equation. No module that a run, its emit or a `pencilkde` subcommand loads
-imports this one.
+The estimator needs only the equal-variance erf form of the ratio density
+with its derivatives, the diffusion coefficient at each eigenvalue and
+eigenvalue-only QZ pairs. The paper's other forms prove its identities, and
+live here: the full generalized Schur form of the Hankel pencil with its
+residual diagnostics and the Vandermonde amplitude solve; the restricted
+1F1 family, the moment integrals L_n, their exp-scaled values and their
+recurrence; the general-covariance ratio density and the 1F1 forms of both
+densities (Hinkley, Biometrika 1969), with their normalization integral; and
+the moment-integral form of the derivatives (h_t, h_x, h_xx), with the
+moment-form coefficients and residual of the evolution equation. No module
+that a run, its emit or a `pencilkde` subcommand loads imports this one.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from .pde import EPS_DENOM, SingularPointError, _residual_row
 from .pencil import DecompositionError, RealPairs, _keep_real, _normalize_signs, _samples
-from .ratio_density import (TWO_PI, EqualVarSpec, _abc_equal_var, _moment_coefficients,
-                            density_equal_var)
-from .specfun import _SQRT_PI, SERIES_RTOL, erf, moment_recurrence
+from .ratio_density import TWO_PI, EqualVarSpec, density_equal_var
+from .specfun import erf, erfc
 
 __all__ = [
     "HankelPencil", "SchurPairs", "ExponentialFit", "build_pencil", "qz", "real_pairs",
     "vandermonde_solve", "hyp1f1_half", "hyp1f1_half_scaled", "MomentParams", "moment_L",
+    "moment_recurrence", "scaled_moments",
     "GeneralGaussianSpec", "abc_general", "density_general", "density_general_hyp",
     "density_equal_var_hyp", "integrate_density", "g_coefficients", "residual",
 ]
@@ -172,8 +173,14 @@ def vandermonde_solve(xi: np.ndarray, samples: np.ndarray) -> ExponentialFit:
     return ExponentialFit(zeta=xi, f=f)
 
 
+# term-ratio stopping criterion for the power series
+SERIES_RTOL = 1e-16
 # power series below this, terminating asymptotic expansion above
 SERIES_Z_MAX = 30.0
+# exp-scaled moment kernel: erfc-recursion branch above this b^2/a
+SCALED_Z_SPLIT = 40.0
+
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def _gamma_half(two_m: int) -> float:
@@ -288,6 +295,108 @@ def moment_L(params: MomentParams) -> float:
     return 2.0 * b * a**-half * _gamma_half(3 + n) * hyp1f1_half(half, 1.5, z)
 
 
+def moment_recurrence(a, b):
+    """Weights (W1, W2, W3, W4) with L3 = W1 L1 + W2 L2, L4 = W3 L1 + W4 L2.
+
+    Valid for a > 0; accepts arrays elementwise.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValueError("quadratic coefficient a must be > 0")
+    w1 = 3.0 / (2.0 * a)
+    w2 = b / a
+    w3 = 3.0 * b / (2.0 * a**2)
+    w4 = (2.0 * a + b * b) / a**2
+    if a.ndim == 0 and b.ndim == 0:
+        return float(w1), float(w2), float(w3), float(w4)
+    return w1, w2, w3, w4
+
+
+def _scaled_small_z(a, b, z):
+    """exp(-z) * (L0, L1, L2) by the 1F1 power series; safe for z < ~700."""
+    # three series share the loop; all terms positive, no cancellation
+    t0 = np.ones_like(a)
+    t1 = np.ones_like(a)
+    t2 = np.ones_like(a)
+    s0 = np.ones_like(a)
+    s1 = np.ones_like(a)
+    s2 = np.ones_like(a)
+    m = 0
+    while True:
+        t0 = t0 * (1.0 + m) / ((0.5 + m) * (m + 1)) * z
+        t1 = t1 * (2.0 + m) / ((1.5 + m) * (m + 1)) * z
+        t2 = t2 * (2.0 + m) / ((0.5 + m) * (m + 1)) * z
+        s0 += t0
+        s1 += t1
+        s2 += t2
+        m += 1
+        big = np.maximum(np.maximum(t0, t1), t2) <= SERIES_RTOL * np.minimum(np.minimum(s0, s1), s2)
+        if np.all(big) or m > 800:
+            break
+    ez = np.exp(-z)
+    lam0 = ez * s0 / a
+    lam1 = ez * 2.0 * b * s1 / a**2
+    lam2 = ez * s2 / a**2
+    return lam0, lam1, lam2
+
+
+def _scaled_large_z(a, b, z):
+    """exp(-z) * (L0, L1, L2) for b >= 0 and large z via the one-sided integrals.
+
+    J_m = exp(-z) int_0^inf l^m exp(-a l^2 + 2 b l) dl obeys
+    J_0 = sqrt(pi)/(2 sqrt a) erfc(-b/sqrt a), J_1 = (b/a) J_0 + exp(-z)/(2a),
+    J_m = ((m-1) J_{m-2} + 2 b J_{m-1}) / (2a); the mirror integral over
+    (-inf, 0] is O(e^-z) relative and dropped (z >= SCALED_Z_SPLIT).
+    """
+    root_a = np.sqrt(a)
+    j0 = _SQRT_PI / (2.0 * root_a) * erfc(-b / root_a)
+    ez = np.exp(-z)
+    j1 = (b / a) * j0 + ez / (2.0 * a)
+    j2 = (j0 + 2.0 * b * j1) / (2.0 * a)
+    j3 = (2.0 * j1 + 2.0 * b * j2) / (2.0 * a)
+    return j1, j2, j3
+
+
+def scaled_moments(a, b):
+    """exp(-b^2/a) * (L_0, L_1, L_2), elementwise, overflow-free for any b^2/a.
+
+    L_n for n in {3, 4} is reachable through moment_recurrence; the scaled
+    values are the stable building blocks for densities and derivatives.
+    """
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
+    scalar = a_arr.ndim == 0 and b_arr.ndim == 0
+    a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+    a_arr = np.ascontiguousarray(a_arr, dtype=float)
+    b_arr = np.ascontiguousarray(b_arr, dtype=float)
+    if np.any(a_arr <= 0.0):
+        raise ValueError("quadratic coefficient a must be > 0")
+
+    # parity: L_n(a, -b) = (-1)^n L_n(a, b); work with b >= 0
+    sign = np.where(b_arr < 0.0, -1.0, 1.0)
+    babs = np.abs(b_arr)
+    z = babs * babs / a_arr
+
+    lam0 = np.empty_like(a_arr)
+    lam1 = np.empty_like(a_arr)
+    lam2 = np.empty_like(a_arr)
+
+    small = z < SCALED_Z_SPLIT
+    if np.any(small):
+        l0, l1, l2 = _scaled_small_z(a_arr[small], babs[small], z[small])
+        lam0[small], lam1[small], lam2[small] = l0, l1, l2
+    big = ~small
+    if np.any(big):
+        l0, l1, l2 = _scaled_large_z(a_arr[big], babs[big], z[big])
+        lam0[big], lam1[big], lam2[big] = l0, l1, l2
+
+    lam1 *= sign
+    if scalar:
+        return lam0.item(), lam1.item(), lam2.item()
+    return lam0, lam1, lam2
+
+
 @dataclass(frozen=True)
 class GeneralGaussianSpec:
     """Means, variances and covariance of (v, w); x = w / v."""
@@ -372,6 +481,15 @@ def density_general_hyp(spec: GeneralGaussianSpec, x) -> float:
     return _density_hyp(*abc_general(spec, float(x)))
 
 
+def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
+    """Exponent coefficients (a, b, c) of the equal-variance family; broadcasts."""
+    denom = 2.0 * (1.0 - rho * rho) * t
+    a = (1.0 - 2.0 * rho * x + x * x) / denom
+    b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
+    c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
+    return a, b, c
+
+
 def density_equal_var_hyp(spec: EqualVarSpec, x) -> float:
     """1F1 form of the equal-variance density (cross-check path; scalar x)."""
     a, b, c = _abc_equal_var(float(x), spec.t, spec.nu_v, spec.nu_w, spec.rho)
@@ -435,6 +553,60 @@ def integrate_density(spec) -> float:
     return sum(
         _adaptive_simpson(g, lo, hi, per_panel) for lo, hi in zip(pts[:-1], pts[1:])
     )
+
+
+def _moment_coefficients(x, t, nu_v, nu_w, rho) -> tuple:
+    """(A_t, B_t, C_t, A_x, B_x, E_xx, F_xx, A_xx) of the moment assembly; broadcasts.
+
+    The means are squared as float64, as in _h_erf_raw, so |nu| > 1.34e154
+    gives inf rather than Python's OverflowError, with the same bits elsewhere.
+    """
+    one_m_r2 = 1.0 - rho * rho
+    s32 = one_m_r2**1.5
+    s52 = one_m_r2**2.5
+    t2 = t * t
+    t3 = t2 * t
+    nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
+    return (
+        (1.0 + x * x - 2.0 * x * rho) / (2.0 * t3 * s32),
+        -(nu_v + nu_w * x - (nu_w + nu_v * x) * rho) / (t3 * s32),
+        (nv2 + nw2 - 2.0 * nu_v * nu_w * rho + 2.0 * t * (rho * rho - 1.0)) / (2.0 * t3 * s32),
+        (rho - x) / (t2 * s32),
+        (nu_w - nu_v * rho) / (t2 * s32),
+        (x - rho) ** 2 / (t3 * s52),
+        2.0 * (x - rho) * (-nu_w + nu_v * rho) / (t3 * s52),
+        (np.float64(nu_w - nu_v * rho) ** 2 + t * (rho * rho - 1.0)) / (t3 * s52),
+    )
+
+
+def _derivs_raw(x, t, nu_v, nu_w, rho):
+    """(h_t, h_x, h_xx) for the equal-variance family; broadcasts over arrays.
+
+    Assembled from the moment integrals: with Lam_n = e^(-b^2/a) L_n(a, b),
+
+      h_t  = e^(z-c)/(2 pi) [A_t Lam2 + B_t Lam1 + C_t Lam0]
+      h_x  = e^(z-c)/(2 pi) [A_x Lam2 + B_x Lam1]
+      h_xx = e^(z-c)/(2 pi) [(A_xx + F_xx W2 + E_xx W4) Lam2 + (F_xx W1 + E_xx W3) Lam1]
+
+    where the order-3 and order-4 moments were eliminated by the recurrence
+    weights W1..W4. Where the prefactor e^(z-c) underflows to 0.0 all three
+    are 0.0, though a coefficient may have overflowed there.
+    """
+    x = np.asarray(x, dtype=float)
+    a, b, c = _abc_equal_var(x, t, nu_v, nu_w, rho)
+    at, bt, ct, ax, bx, exx, fxx, axx = _moment_coefficients(x, t, nu_v, nu_w, rho)
+
+    w1, w2, w3, w4 = moment_recurrence(a, b)
+    lam0, lam1, lam2 = scaled_moments(a, b)
+
+    z = b * b / a
+    pref = np.exp(z - c) / TWO_PI
+
+    h_t = pref * (at * lam2 + bt * lam1 + ct * lam0)
+    h_x = pref * (ax * lam2 + bx * lam1)
+    h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
+    zero = pref == 0.0
+    return tuple(np.where(zero, 0.0, v) for v in (h_t, h_x, h_xx))
 
 
 def _poly_terms(nu_v, nu_w, rho, x):

@@ -32,16 +32,8 @@ class SingularPointError(ArithmeticError):
     """Evaluation point too close to a real root of the denominator cubic."""
 
 
-def _p3_factor(nv, nw, r) -> list:
-    """Ascending coefficients of the cubic with P3 = (1 - 2 r x + x^2)^2 * cubic.
-
-    Entries broadcast, so nw may be an array of numerator means.
-    """
-    return [nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r]
-
-
 def _q_coeffs(nv, nw, r) -> tuple:
-    """Ascending coefficient lists of Q1 and Q2; entries broadcast like _p3_factor."""
+    """Ascending coefficient lists of Q1 and Q2."""
     s1 = 2.0 * (1.0 - r * r) * (nw - nv * r)
     s2 = 2.0 * (r * r - 1.0)
     q1 = [s1 * (nw * nw), s1 * (-2.0 * nv * nw), s1 * (nv * nv)]
@@ -70,7 +62,9 @@ def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
         ]
     )
     p2 = pm(quad, inner2)
-    p3 = pm(pm(quad, quad), np.array(_p3_factor(nv, nw, r)))
+    # P3 = (1 - 2 r x + x^2)^2 * cubic
+    cubic = np.array([nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r])
+    p3 = pm(pm(quad, quad), cubic)
     q1, q2 = (np.array(c) for c in _q_coeffs(nv, nw, r))
     pd = np.polynomial.polynomial.polyder
     return {
@@ -86,37 +80,19 @@ def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
 
 
 def _diffusion_at_centers(rho: float, t: float, x):
-    """(D, denom, denom_scale) of each unit-denominator pair at its own centre.
+    """D = P3 / (Q1 + t Q2) of each unit-denominator pair at its own centre; NaN where x == rho.
 
-    Entry k is _coeffs_raw(1.0, x[k], rho, t, x[k]) for the diffusion
-    coefficient D = P3 / (Q1 + t Q2), bit for bit, computed for all k at
-    once: Horner runs across the whole array and the rho-only square of
-    1 - 2 rho x + x^2 is formed once. P3's coefficients take one np.convolve
-    per entry, which sums through BLAS dot, whose rounding a hand-written sum
-    does not reproduce. That is polymul's own sum without its series checks:
-    polymul trims zero leading coefficients, of its factors and of the
-    product, and the cubic's leading coefficient -x + rho (then also the
-    product's, times 1.0) is zero only where x == rho, so only there is
-    polymul called.
+    With nu_v = 1 and nu_w = x, Q1 = 2 (1 - rho^2) (nu_w - nu_v x)^2 (nu_w - nu_v rho)
+    is 0 at x, and with q = x^2 - 2 rho x + 1 there P3 = q^2 * cubic factors
+    further, cubic = -(x - rho) q, as does Q2 = 2 (rho^2 - 1) (x - rho) q. So
+    D = q^2 / (2 t (1 - rho^2)). Formed as q = (x - rho)^2 + (1 - rho) (1 + rho),
+    neither q nor 1 - rho^2 cancels near x = rho_hat = 1, so D is within a few
+    ulps. At x == rho, where Q2 vanishes, the quotient is 0/0 and the entry is NaN.
     """
     x = np.asarray(x, dtype=float)
-    pm = np.polynomial.polynomial.polymul
-    pv = np.polynomial.polynomial.polyval
-    quad = np.array([1.0, -2.0 * rho, 1.0])
-    quad2 = pm(quad, quad)
-    # polymul trims zero leading coefficients; zero padding evaluates the same
-    p3c = np.zeros((quad2.size + 2, x.size))
-    for k, cubic in enumerate(np.stack(_p3_factor(1.0, x, rho), axis=1)):
-        c = np.convolve(quad2, cubic) if cubic[-1] != 0.0 else pm(quad2, cubic)
-        p3c[: c.size, k] = c
-    q1c, q2c = (np.array(np.broadcast_arrays(*c)) for c in _q_coeffs(1.0, x, rho))
-    p3 = pv(x, p3c, tensor=False)
-    q1 = pv(x, q1c, tensor=False)
-    q2 = pv(x, q2c, tensor=False)
-    den = q1 + t * q2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = p3 / den
-    return diff, den, np.maximum(np.abs(q1), np.abs(t * q2))
+    one_m_r2 = (1.0 - rho) * (1.0 + rho)
+    q = (x - rho) ** 2 + one_m_r2
+    return np.where(x == rho, np.nan, q * q / (2.0 * t * one_m_r2))
 
 
 def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:

@@ -5,11 +5,11 @@ from a confluent hypergeometric function of the quadratic/linear/constant
 exponent coefficients (a, b, c) and the covariance determinant d.  The
 equal-variance family (var v = var w = t, correlation rho) additionally has
 an elementary erf closed form, used as the primary evaluation path because
-it stays finite where the raw 1F1 factor overflows; closed-form first and
-second derivatives in x and the derivative in t are assembled from the
-absolute-moment integrals in `specfun`.  The general-covariance density,
-the 1F1 forms and the normalization integral, which only checks evaluate,
-are in `oracles`.
+it stays finite where the raw 1F1 factor overflows; its first and second
+derivatives in x and its derivative in t are that form's own, differentiated
+term by term.  The general-covariance density, the 1F1 forms, the
+normalization integral and the moment-integral form of the derivatives,
+which only checks evaluate, are in `oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import erf, moment_recurrence, scaled_moments
+from .specfun import erf
 
 TWO_PI = 2.0 * math.pi
 # erf is exactly +-1.0 in double precision beyond this |z|
@@ -49,15 +49,6 @@ class EqualVarSpec:
             raise ValueError(f"correlation must satisfy |rho| < 1, got {self.rho}")
         if self.t <= 0.0:
             raise ValueError(f"variance t must be positive, got {self.t}")
-
-
-def _abc_equal_var(x, t, nu_v, nu_w, rho) -> tuple:
-    """Exponent coefficients (a, b, c) of the equal-variance family; broadcasts."""
-    denom = 2.0 * (1.0 - rho * rho) * t
-    a = (1.0 - 2.0 * rho * x + x * x) / denom
-    b = (nu_v - rho * nu_w + (nu_w - rho * nu_v) * x) / denom
-    c = (nu_v * nu_v - 2.0 * rho * nu_w * nu_v + nu_w * nu_w) / denom
-    return a, b, c
 
 
 def _erf(z):
@@ -267,70 +258,89 @@ def density_equal_var(spec: EqualVarSpec, x):
     return out
 
 
-def _moment_coefficients(x, t, nu_v, nu_w, rho) -> tuple:
-    """(A_t, B_t, C_t, A_x, B_x, E_xx, F_xx, A_xx) of the moment assembly; broadcasts.
+def _derivs_erf_raw(x, t, nu_v, nu_w, rho):
+    """(h_t, h_x, h_xx) of _h_erf_raw's closed form, differentiated term by term; broadcasts.
 
-    The means are squared as float64, as in _h_erf_raw, so |nu| > 1.34e154
-    gives inf rather than Python's OverflowError, with the same bits elsewhere.
-    """
-    one_m_r2 = 1.0 - rho * rho
-    s32 = one_m_r2**1.5
-    s52 = one_m_r2**2.5
-    t2 = t * t
-    t3 = t2 * t
-    nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
-    return (
-        (1.0 + x * x - 2.0 * x * rho) / (2.0 * t3 * s32),
-        -(nu_v + nu_w * x - (nu_w + nu_v * x) * rho) / (t3 * s32),
-        (nv2 + nw2 - 2.0 * nu_v * nu_w * rho + 2.0 * t * (rho * rho - 1.0)) / (2.0 * t3 * s32),
-        (rho - x) / (t2 * s32),
-        (nu_w - nu_v * rho) / (t2 * s32),
-        (x - rho) ** 2 / (t3 * s52),
-        2.0 * (x - rho) * (-nu_w + nu_v * rho) / (t3 * s52),
-        (np.float64(nu_w - nu_v * rho) ** 2 + t * (rho * rho - 1.0)) / (t3 * s52),
-    )
+    The density is h = g f erf(z) + c e2 with q = x^2 - 2 rho x + 1,
+    s = 1 - rho^2, d = nu_w - nu_v x, lin = nu_v (1 - rho x) + nu_w (x - rho),
+    g = exp(-d^2 / (2 t q)) / sqrt(2 pi t q), f = lin / q,
+    z = lin / sqrt(2 t s q), c = sqrt(s) / (pi q), e2 = exp(-A / (2 t s)) and
+    A = nu_v^2 - 2 rho nu_v nu_w + nu_w^2. As d^2 s + lin^2 = A q, erf's
+    derivative brings the factor g (2 / sqrt(pi)) exp(-z^2) = w, with
+    w = (2 / sqrt(pi)) e2 / sqrt(2 pi t q). With u = (x - rho) / q, k = nu_w - rho nu_v
+    and primes for d/dx:
 
+      g'/g = y = (nu_v d + d^2 u) / (t q) - u
+      y'   = (-nu_v^2 - 4 nu_v d u + d^2 / q - 4 d^2 u^2) / (t q) - 1 / q + 2 u^2
+      f'   = (k - 2 f (x - rho)) / q
+      f''  = -(4 k u + 2 f) / q + 8 f u^2
+      z'   = s d / (sqrt(2 t s q) q)
+      z''  = -s (nu_v q + 3 d (x - rho)) / (sqrt(2 t s q) q^2)
 
-def _derivs_raw(x, t, nu_v, nu_w, rho):
-    """(h_t, h_x, h_xx) for the equal-variance family; broadcasts over arrays.
+      h_t  = g erf(z) f (d^2 / (2 t^2 q) - 1 / (2 t)) - w f z / (2 t) + c e2 A / (2 t^2 s)
+      h_x  = g erf(z) (y f + f') + w f z' - 2 u c e2
+      h_xx = g erf(z) ((y^2 + y') f + 2 y f' + f'') + w (f (z'' - 2 z z'^2) + 2 (y f + f') z')
+             + c e2 (8 u^2 - 2 / q)
 
-    Assembled from the moment integrals: with Lam_n = e^(-b^2/a) L_n(a, b),
-
-      h_t  = e^(z-c)/(2 pi) [A_t Lam2 + B_t Lam1 + C_t Lam0]
-      h_x  = e^(z-c)/(2 pi) [A_x Lam2 + B_x Lam1]
-      h_xx = e^(z-c)/(2 pi) [(A_xx + F_xx W2 + E_xx W4) Lam2 + (F_xx W1 + E_xx W3) Lam1]
-
-    where the order-3 and order-4 moments were eliminated by the recurrence
-    weights W1..W4. Where the prefactor e^(z-c) underflows to 0.0 all three
-    are 0.0, though a coefficient may have overflowed there.
+    The erf term's parts are 0.0 where g is, and the others where e2 is, though a
+    factor beside them may have overflowed there; so all three are 0.0 wherever
+    the density underflows. At rho -> -1, where e2 is 0.0 and erf saturates, h_t
+    is the Gaussian factor's own t-derivative, with no cancellation. There is no
+    far-tail form: where q overflows (|x| beyond about 1e154) the result is NaN.
     """
     x = np.asarray(x, dtype=float)
-    a, b, c = _abc_equal_var(x, t, nu_v, nu_w, rho)
-    at, bt, ct, ax, bx, exx, fxx, axx = _moment_coefficients(x, t, nu_v, nu_w, rho)
+    # the parts beside a 0.0 exponential may overflow; they are replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x * x - 2.0 * rho * x + 1.0
+        xmr = x - rho
+        d = nu_w - nu_v * x
+        lin = nu_v * (1.0 - rho * x) + nu_w * xmr
+        one_m_r2 = 1.0 - rho * rho
+        norm = np.sqrt(TWO_PI * t * q)
+        g = np.exp(-(d * d) / (2.0 * t * q)) / norm
+        root = np.sqrt(2.0 * t * one_m_r2 * q)
+        z, f = lin / root, lin / q
+        g_erf = g * _erf(z)
+        nv2, nw2 = np.float64(nu_v) ** 2, np.float64(nu_w) ** 2
+        minus_a = -nv2 + 2.0 * nu_v * nu_w * rho - nw2
+        e2 = np.exp(minus_a / (2.0 * t * one_m_r2))
+        c_e2 = math.sqrt(one_m_r2) / (np.pi * q) * e2
+        w = (2.0 / math.sqrt(math.pi)) * e2 / norm
 
-    w1, w2, w3, w4 = moment_recurrence(a, b)
-    lam0, lam1, lam2 = scaled_moments(a, b)
+        u = xmr / q
+        k = nu_w - rho * nu_v
+        y = (nu_v * d + d * d * u) / (t * q) - u
+        dy = (-nu_v * nu_v - 4.0 * nu_v * d * u + d * d / q - 4.0 * d * d * u * u) / (t * q)
+        dy += 2.0 * u * u - 1.0 / q
+        df = (k - 2.0 * f * xmr) / q
+        ddf = 8.0 * f * u * u - (4.0 * k * u + 2.0 * f) / q
+        dz = one_m_r2 * d / (root * q)
+        ddz = -one_m_r2 * (nu_v * q + 3.0 * d * xmr) / (root * q * q)
+        dx1 = y * f + df
 
-    z = b * b / a
-    pref = np.exp(z - c) / TWO_PI
-
-    h_t = pref * (at * lam2 + bt * lam1 + ct * lam0)
-    h_x = pref * (ax * lam2 + bx * lam1)
-    h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
-    zero = pref == 0.0
-    return tuple(np.where(zero, 0.0, v) for v in (h_t, h_x, h_xx))
+        parts = (
+            (g_erf * f * (d * d / (2.0 * t * t * q) - 0.5 / t),
+             c_e2 * (-minus_a / (2.0 * t * t * one_m_r2)) - w * f * z / (2.0 * t)),
+            (g_erf * dx1, w * f * dz - 2.0 * u * c_e2),
+            (g_erf * ((y * y + dy) * f + 2.0 * y * df + ddf),
+             w * (f * (ddz - 2.0 * z * dz * dz) + 2.0 * dx1 * dz)
+             + c_e2 * (8.0 * u * u - 2.0 / q)),
+        )
+    no_g, no_e2 = g == 0.0, e2 == 0.0
+    return tuple(np.where(no_g, 0.0, a) + np.where(no_e2, 0.0, b) for a, b in parts)
 
 
 def derivatives(spec: EqualVarSpec, x):
-    """Closed-form (h_t, h_x, h_xx) of the equal-variance density.
+    """Closed-form (h_t, h_x, h_xx) of the equal-variance density (_derivs_erf_raw).
 
-    The coefficient assembly divides by nu_v, so the zero-mean-denominator
-    case is rejected; use the stationary form there instead.
+    The zero-mean-denominator case nu_v == 0 is rejected. The erf form is
+    defined there, but the evolution-equation residual, which calls this,
+    rejects that case through this check.
     """
     if spec.nu_v == 0.0:
         raise ValueError("derivative closed forms require nu_v != 0")
     x_arr = np.asarray(x, dtype=float)
-    h_t, h_x, h_xx = _derivs_raw(x_arr, spec.t, spec.nu_v, spec.nu_w, spec.rho)
+    h_t, h_x, h_xx = _derivs_erf_raw(x_arr, spec.t, spec.nu_v, spec.nu_w, spec.rho)
     if x_arr.ndim == 0:
         return float(h_t), float(h_x), float(h_xx)
     return h_t, h_x, h_xx

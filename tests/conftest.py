@@ -1,9 +1,15 @@
-"""Shared helpers: random spec draws, a direct ratio sampler, and the
-term-relative evolution-equation residual used by several suites."""
+"""Shared helpers: random spec draws, a direct ratio sampler, the
+term-relative evolution-equation residual used by several suites, and runs of
+the model2 paper config."""
+
+import dataclasses
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pencilkde.harness import ExperimentConfig, run
 from pencilkde.oracles import GeneralGaussianSpec
 from pencilkde.pde import SingularPointError, pde_coefficients, singular_mask
 from pencilkde.ratio_density import EqualVarSpec, density_equal_var, derivatives
@@ -77,3 +83,11 @@ def term_relative_residual(spec, xs, scale_floor=1e-3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def model2_report():
+    """run() of configs/model2.json at a given seed, each seed run once per session."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "model2.json"
+    config = ExperimentConfig.from_json_file(path)
+    return functools.cache(lambda seed: run(dataclasses.replace(config, seed=seed)))

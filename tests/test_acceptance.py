@@ -26,6 +26,7 @@ from pencilkde.oracles import (
     density_general_hyp,
     integrate_density,
     moment_L,
+    moment_recurrence,
     qz,
     real_pairs,
     residual,
@@ -33,7 +34,6 @@ from pencilkde.oracles import (
 )
 from pencilkde.pde import singular_mask
 from pencilkde.ratio_density import EqualVarSpec, density_equal_var, derivatives
-from pencilkde.specfun import moment_recurrence
 
 from conftest import random_equal_var_spec, random_general_spec, term_relative_residual
 

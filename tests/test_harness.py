@@ -583,7 +583,8 @@ class TestEmit:
         components = micro_report.sample.ratio.size
         assert 0 < proposed.rows <= 2 * components
         assert 0 < proposed.values < 64 * components
-        assert 0.0 <= meta["proposed"]["bound_rel_peak"] < 1e-38
+        # the cut moves no point by half an ulp of the peak
+        assert 0.0 <= meta["proposed"]["bound_rel_peak"] < 2.0**-53
         for name in ("densities.csv", "modes.json", "params.json"):
             text = (tmp_path / name).read_text()
             assert not any(key in text for key in ("rows", "kernel_values", "bound_rel_peak"))
@@ -668,8 +669,6 @@ class TestCli:
             ("0.01", "1e200"),
             # numpy's "Array must not contain infs or NaNs" from the root search (exit 2)
             ("0.01", "1e308"),
-            # finite coefficients, but h_t and the residual are nan at every point (exit 0)
-            ("1e300", "0.9"),
         ],
     )
     def test_pde_check_non_finite_table_is_a_numerical_failure(self, t, nu_w, capsys):
@@ -709,6 +708,26 @@ class TestCli:
         assert len(rows) == 3
         for x, h, h_t, d, c, s, res in rows:
             assert h == h_t == res == 0.0 and all(map(math.isfinite, (d, c, s)))
+
+    def test_pde_check_huge_variance_is_a_finite_table(self, capsys):
+        # h_t is of order 1 / t^2, below the doubles: 0.0, not nan, and the table is finite
+        code = cli.main(
+            [
+                "pde-check",
+                "--t=1e300",
+                "--nu-w=0.9",
+                "--rho", "0.3",
+                "--xmin", "0.7",
+                "--xmax", "1.1",
+                "--points", "3",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 3
+        for x, h, h_t, d, c, s, res in rows:
+            assert h > 0.0 and h_t == 0.0 and all(map(math.isfinite, (d, c, s, res)))
 
     @pytest.mark.parametrize(
         "args",

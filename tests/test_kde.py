@@ -1,5 +1,6 @@
 """Condensed-density estimators: histogram, Gaussian baseline, PDE mixture."""
 
+import dataclasses
 import math
 import warnings
 from contextlib import contextmanager
@@ -36,7 +37,7 @@ from pencilkde.kde import (
     pooled_correlation,
     proposed_estimate,
 )
-from pencilkde.ratio_density import EqualVarSpec, _derivs_raw, _h_erf_raw, density_equal_var
+from pencilkde.ratio_density import EqualVarSpec, _derivs_erf_raw, _h_erf_raw, density_equal_var
 
 from conftest import term_relative_residual
 
@@ -89,13 +90,13 @@ def loop_t_star_details(sample, fit, rho_hat, window):
     inv_sqrt = np.empty(pooled.size)
     valid = np.zeros(pooled.size, dtype=bool)
     for i, xi in enumerate(pooled):
-        d, _, _, den, scale, _ = pde._coeffs_raw(1.0, float(xi), rho, t0, float(xi))
-        if abs(den) > pde.EPS_DENOM * max(scale, 1e-300) and d > 0.0:
+        d = float(pde._diffusion_at_centers(rho, t0, float(xi)))
+        if math.isfinite(d) and d > 0.0:
             inv_sqrt[i] = 1.0 / math.sqrt(d)
             valid[i] = True
     e_term = float((weights[valid] * inv_sqrt[valid]).sum() / weights[valid].sum())
     nodes, gl_w = kde._gl_nodes(window)
-    h_t, _, _ = _derivs_raw(nodes, t0, 1.0, fit.mu0, fit.rho0)
+    h_t, _, _ = _derivs_erf_raw(nodes, t0, 1.0, fit.mu0, fit.rho0)
     norm_term = float((h_t * h_t) @ gl_w)
     t_star = (e_term / (2.0 * sample.R * math.sqrt(math.pi) * norm_term)) ** 0.4
     return t_star, int(np.count_nonzero(~valid))
@@ -1151,8 +1152,8 @@ class TestBandwidthTStar:
         assert got == pytest.approx(one * 16.0**-0.4, rel=1e-12)
 
     def test_skips_components_with_bad_diffusion(self):
-        # at rho = 0.9 the diffusion coefficient at x = 0.9 is negative for
-        # a component centered there, so only the 0.5 component counts
+        # at rho = 0.9 the diffusion coefficient of a component centered at
+        # x = 0.9 is 0/0 there (Q2 vanishes), so only the 0.5 component counts
         sample = EigenSample(s=[[0.5, 0.9]], t=[[1.0, 1.0]], ratio=[[0.5, 0.9]])
         _, skipped = bandwidth_t_star_details(sample, self.fit(), 0.9, self.WINDOW)
         assert skipped == 1
@@ -1166,7 +1167,7 @@ class TestBandwidthTStar:
             assert got == loop_t_star_details(sample, fit, rho, self.WINDOW)
 
     def test_matches_loop_with_skipped_components(self, rng):
-        # x = rho makes the leading P3 coefficient vanish, so polymul trims it
+        # x = rho makes Q2 vanish, so that component is skipped
         sample = replications(rng, [30, 5, 0, 17], 0.3, 1.2)
         split(sample)[1][0] = 0.9
         fit = self.fit()
@@ -1177,6 +1178,19 @@ class TestBandwidthTStar:
     def test_all_components_skipped(self):
         with pytest.raises(ValueError):
             bandwidth_t_star_details(single_replication([0.9]), self.fit(), 0.9, self.WINDOW)
+
+    def test_stable_in_mu0_at_the_rho_cap(self, model2_report):
+        # model2 seed 3's pilot sits at rho0 = tanh(-11.8), where the moment-integral
+        # ||h_t||^2 cancelled to noise: a 1e-9 move of mu0 moved t* by 0.17-0.33%
+        report = model2_report(3)
+        fit, window = report.fit, report.config.window
+        assert fit.rho0 == math.tanh(-11.8)
+        got = bandwidth_t_star_details(report.sample, fit, report.rho_hat, window)[0]
+        assert got == report.t_star
+        for step in (2e-10, 1e-9, -1e-9, 2e-9):
+            moved = dataclasses.replace(fit, mu0=fit.mu0 + step)
+            t_star = bandwidth_t_star_details(report.sample, moved, report.rho_hat, window)[0]
+            assert abs(t_star / got - 1.0) < 1e-6, step
 
     def test_rejects_bad_parameters(self):
         sample = single_replication([0.9])
@@ -1249,7 +1263,8 @@ class TestProposedEstimate:
             # end, covering it, and centres near rho whose Cauchy term is not 0.0
             (0.01875, 0.99),
             (0.075, 0.97),  # the most centres with the interval inside the grid
-            (7.5e-3, 0.99),  # touching each end for dozens of centres
+            (7.5e-3, 0.99),
+            (0.75 / kde._KERNEL_REACH, 0.99),  # 2 t K = 1.5: touching each end, dozens of centres
         ],
     )
     def test_matches_dense_chunked_mixture(self, rng, t_star, rho):
@@ -1261,11 +1276,11 @@ class TestProposedEstimate:
         assert same_bits(got, dense_proposed(sample, grid, t_star, rho))
 
     def test_supports_take_every_shape(self):
-        # the sweep at (0.01875, 0.99) on the grid above: the slices of the
-        # support show where the dropped interval lies
+        # the sweep at 2 t K = 3.75, rho = 0.99 on the grid above: the slices of
+        # the support show where the dropped interval lies
         grid = np.linspace(0.85, 0.96, 2048)
         n = grid.size
-        shapes = kde._kernel_supports(SWEEP, grid, 0.01875, 0.99)
+        shapes = kde._kernel_supports(SWEEP, grid, 1.875 / kde._KERNEL_REACH, 0.99)
         assert any(len(s) == 2 for s in shapes)  # inside
         assert any(len(s) == 1 and s[0][0] > 0 and s[0][1] == n for s in shapes)  # at the low end
         assert any(len(s) == 1 and s[0][0] == 0 and s[0][1] < n for s in shapes)  # at the high end
@@ -1309,7 +1324,8 @@ class TestProposedEstimate:
         uncut = dense_proposed(sample, grid, 3.85e-5, 0.9998, reach=None)
         bound = cut_bound(sample, grid, 3.85e-5, 0.9998)
         assert np.all(np.abs(got.y - uncut) <= bound + 2.0**-50 * uncut)
-        assert 0.0 < bound.max() <= got.bound < 1e-38 * got.y.max()
+        # the cut moves no point by half an ulp of the peak
+        assert 0.0 < bound.max() <= got.bound < 2.0**-53 * got.y.max()
 
     @pytest.mark.parametrize(
         "t_star, rho", [(1e-9, 0.3), (3.8e-5, 0.99), (1.35e-3, 0.9998), (0.01875, 0.99)]
@@ -1317,7 +1333,7 @@ class TestProposedEstimate:
     def test_no_row_reaches_past_the_cut(self, rng, monkeypatch, t_star, rho):
         # the supports' rounding pad keeps a point or so whose exponent is a
         # hair below -K, so every Gaussian factor computed is at least about
-        # e^-100: none is a subnormal, where exp(u) for u < -708 ends
+        # e^-K: none is a subnormal, where exp(u) for u < -708 ends
         rows = []
 
         class Recorded(ratio_density._RatioKernel):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -273,26 +274,47 @@ class TestDiffusionDerivative:
 
 
 class TestDiffusionAtCenters:
-    """_diffusion_at_centers is _coeffs_raw at each centre, bit for bit."""
+    """_diffusion_at_centers is P3 / (Q1 + t Q2) of the pair centred at each x."""
 
     @pytest.mark.parametrize(
         "rho", [0.0, 0.3, -0.7, 0.99, math.tanh(11.8), -math.tanh(11.8), 1.0 - 1e-10]
     )
     @pytest.mark.parametrize("t", [1e-3, 0.0121, 0.0625])
     def test_matches_coeffs_raw(self, rho, t):
+        # _coeffs_raw's D, evaluated in 60-digit arithmetic; in doubles it cancels
+        # near x = rho = 1
         rng = np.random.default_rng(7)
         # pencil ratios near the decay factors, a wide spread, and the centres
-        # x == rho, where the cubic's leading coefficient is zero, and x = 0, +-1
+        # x == rho, where Q2 vanishes, and x = 0, +-1
         x = np.concatenate(
             [rng.uniform(0.5, 1.2, 200), rng.uniform(-5.0, 5.0, 50), [rho, 0.0, -1.0, 1.0]]
         )
-        d, den, scale = _diffusion_at_centers(rho, t, x)
-        for k, xk in enumerate(x.tolist()):
-            want = _coeffs_raw(1.0, xk, rho, t, xk)
-            got = (d[k], den[k], scale[k])
-            assert [np.float64(v).tobytes() for v in got] == [
-                np.float64(want[i]).tobytes() for i in (0, 3, 4)
-            ], (xk, got, want)
+        got = _diffusion_at_centers(rho, t, x)
+        assert np.isnan(got[x == rho]).all() and np.isfinite(got[x != rho]).all()
+        worst = 0.0
+        with mpmath.workdps(60):
+            one, r, tm = mpmath.mpf(1), mpmath.mpf(rho), mpmath.mpf(t)
+            for xk, dk in zip(x[x != rho].tolist(), got[x != rho].tolist()):
+                want = _coeffs_raw(one, mpmath.mpf(xk), r, tm, mpmath.mpf(xk))[0]
+                worst = max(worst, abs(float(dk / want) - 1.0))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_model2_eigenvalues_against_60_digits(self, model2_report, seed):
+        # 300 eigenvalues of the estimation sample at the run's rho_hat and pilot t0.
+        # P3 expanded to degree 7 and evaluated near x = rho_hat = 1 erred here by up to
+        # 2.7e-5 (seed 0) and 1.3e-4 (seed 3)
+        report = model2_report(seed)
+        x = np.random.default_rng(0).choice(report.sample.ratio, 300, replace=False)
+        rho, t = report.rho_hat, report.fit.t0
+        got = _diffusion_at_centers(rho, t, x)
+        want = []
+        with mpmath.workdps(60):
+            one, r, tm = mpmath.mpf(1), mpmath.mpf(rho), mpmath.mpf(t)
+            for xk in map(mpmath.mpf, x.tolist()):
+                _, _, p3, q1, q2 = _poly_terms(one, xk, r, xk)
+                want.append(float(p3 / (q1 + tm * q2)))
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-9
 
 
 class TestResidual:

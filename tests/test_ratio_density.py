@@ -12,6 +12,8 @@ from scipy import integrate, special
 
 from pencilkde.oracles import (
     GeneralGaussianSpec,
+    _abc_equal_var,
+    _derivs_raw,
     abc_general,
     density_equal_var_hyp,
     density_general,
@@ -19,7 +21,7 @@ from pencilkde.oracles import (
     integrate_density,
 )
 from pencilkde.ratio_density import (
-    _abc_equal_var,
+    _derivs_erf_raw,
     _erf,
     _h_erf_raw,
     _RatioKernel,
@@ -407,6 +409,22 @@ class TestDerivatives:
             got = derivatives(spec, np.array([0.7, 0.9]))
             assert derivatives(spec, 0.7) == (0.0, 0.0, 0.0)
         assert all(np.array_equal(v, [0.0, 0.0]) for v in got)
+
+    def test_matches_the_moment_form(self):
+        # the erf form's own derivatives against the moment-integral assembly
+        rng = np.random.default_rng(28)
+        worst = np.zeros(3)
+        for k in range(400):
+            nu_v = 1.0 if k % 2 else float(rng.uniform(0.3, 2.0))
+            nu_w = float(rng.uniform(-1.2, 1.2))
+            rho, t = float(rng.uniform(-0.95, 0.95)), float(10.0 ** rng.uniform(-3, 0))
+            centre, sd = nu_w / nu_v, math.sqrt(t * (1.0 + nu_w * nu_w)) / nu_v
+            x = np.linspace(centre - 5.0 * sd, centre + 5.0 * sd, 64)
+            got = _derivs_erf_raw(x, t, nu_v, nu_w, rho)
+            want = _derivs_raw(x, t, nu_v, nu_w, rho)
+            for i, (g, w) in enumerate(zip(got, want)):
+                worst[i] = max(worst[i], np.max(np.abs(g - w)) / np.max(np.abs(w)))
+        assert np.all(worst <= 1e-9), worst
 
     @given(st.floats(-0.9, 0.9), st.floats(0.01, 1.0), st.floats(-1.5, 1.5))
     @settings(max_examples=40, deadline=None)
