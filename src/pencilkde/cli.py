@@ -96,8 +96,11 @@ def _spec_grid(args) -> tuple:
     if not 2 <= args.points <= MAX_POINTS:
         raise ValueError(f"points must be in [2, {MAX_POINTS}], got {args.points}")
     x = np.linspace(args.xmin, args.xmax, args.points)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"the grid from {args.xmin} to {args.xmax} is not finite")
+    # near the float range a point overflows, and a few ulps wide two round to one double
+    if not (np.all(np.isfinite(x)) and np.all(x[1:] > x[:-1])):
+        raise ValueError(
+            f"the grid from {args.xmin} to {args.xmax} has no {args.points} distinct finite points"
+        )
     return spec, x
 
 

@@ -7,10 +7,12 @@ live here: the full generalized Schur form of the Hankel pencil with its
 residual diagnostics and the Vandermonde amplitude solve; the restricted
 1F1 family, the moment integrals L_n, their exp-scaled values and their
 recurrence; the general-covariance ratio density and the 1F1 forms of both
-densities (Hinkley, Biometrika 1969), with their normalization integral; and
+densities (Hinkley, Biometrika 1969), with their normalization integral;
 the moment-integral form of the derivatives (h_t, h_x, h_xx), with the
-moment-form coefficients and residual of the evolution equation. No module
-that a run, its emit or a `pencilkde` subcommand loads imports this one.
+moment-form coefficients and residual of the evolution equation; and the
+expanded monomial coefficient arrays of that equation's polynomials P1..Q2,
+beside their factored products. No module that a run, its emit or a
+`pencilkde` subcommand loads imports this one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import EPS_DENOM, SingularPointError, _residual_row
+from .pde import EPS_DENOM, SingularPointError, _q_coeffs, _residual_row
 from .pencil import DecompositionError, RealPairs, _keep_real, _normalize_signs, _samples
 from .ratio_density import TWO_PI, EqualVarSpec, density_equal_var
 from .specfun import erf, erfc
@@ -607,6 +609,39 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
     zero = pref == 0.0
     return tuple(np.where(zero, 0.0, v) for v in (h_t, h_x, h_xx))
+
+
+def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
+    """Expanded coefficient arrays (ascending degree) of P1..Q2 and derivatives."""
+    pm = np.polynomial.polynomial.polymul
+    quad = np.array([1.0, -2.0 * r, 1.0])  # 1 - 2 r x + x^2
+    wmvx2 = np.array([nw * nw, -2.0 * nv * nw, nv * nv])  # (nu_w - nu_v x)^2
+
+    p1 = 2.0 * (r * r - 1.0) * pm(wmvx2, np.array([nv - nw * r, nw - nv * r]))
+    inner2 = np.array(
+        [
+            nw * (11.0 * r**3 - 8.0 * r) + nv * (2.0 - 5.0 * r * r),
+            nw * (8.0 - 17.0 * r * r) + nv * (10.0 * r - r**3),
+            9.0 * r * nw - 9.0 * nv,
+            -3.0 * nw + 3.0 * r * nv,
+        ]
+    )
+    p2 = pm(quad, inner2)
+    # P3 = (1 - 2 r x + x^2)^2 * cubic
+    cubic = np.array([nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r])
+    p3 = pm(pm(quad, quad), cubic)
+    q1, q2 = (np.array(c) for c in _q_coeffs(nv, nw, r))
+    pd = np.polynomial.polynomial.polyder
+    return {
+        "p1": p1,
+        "p2": p2,
+        "p3": p3,
+        "q1": q1,
+        "q2": q2,
+        "dp3": pd(p3),
+        "dq1": pd(q1),
+        "dq2": pd(q2),
+    }
 
 
 def _poly_terms(nu_v, nu_w, rho, x):

@@ -5,8 +5,8 @@ with a rational diffusion coefficient D = P3(x) / (Q1(x) + t Q2(x)), a
 rational convection coefficient C defined by C = G_x - dD/dx, and an
 x-independent source S(t).  The denominator cubic can vanish at up to three
 real points where D and C blow up; callers must keep clear of those roots.
-The moment-form G_x, G_xx and the pointwise residual that check these
-coefficients are in `oracles`.
+The expanded coefficient arrays of P1..Q2, the moment-form G_x, G_xx and
+the pointwise residual that check these coefficients are in `oracles`.
 """
 
 from __future__ import annotations
@@ -44,39 +44,6 @@ def _q_coeffs(nv, nw, r) -> tuple:
         s2 * (-3.0 * nv),
     ]
     return q1, q2
-
-
-def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:
-    """Expanded coefficient arrays (ascending degree) of P1..Q2 and derivatives."""
-    pm = np.polynomial.polynomial.polymul
-    quad = np.array([1.0, -2.0 * r, 1.0])  # 1 - 2 r x + x^2
-    wmvx2 = np.array([nw * nw, -2.0 * nv * nw, nv * nv])  # (nu_w - nu_v x)^2
-
-    p1 = 2.0 * (r * r - 1.0) * pm(wmvx2, np.array([nv - nw * r, nw - nv * r]))
-    inner2 = np.array(
-        [
-            nw * (11.0 * r**3 - 8.0 * r) + nv * (2.0 - 5.0 * r * r),
-            nw * (8.0 - 17.0 * r * r) + nv * (10.0 * r - r**3),
-            9.0 * r * nw - 9.0 * nv,
-            -3.0 * nw + 3.0 * r * nv,
-        ]
-    )
-    p2 = pm(quad, inner2)
-    # P3 = (1 - 2 r x + x^2)^2 * cubic
-    cubic = np.array([nw * (1.0 - 2.0 * r * r) + nv * r, 2.0 * nw * r - 2.0 * nv, -nw + nv * r])
-    p3 = pm(pm(quad, quad), cubic)
-    q1, q2 = (np.array(c) for c in _q_coeffs(nv, nw, r))
-    pd = np.polynomial.polynomial.polyder
-    return {
-        "p1": p1,
-        "p2": p2,
-        "p3": p3,
-        "q1": q1,
-        "q2": q2,
-        "dp3": pd(p3),
-        "dq1": pd(q1),
-        "dq2": pd(q2),
-    }
 
 
 def _diffusion_at_centers(rho: float, t: float, x):
@@ -123,8 +90,7 @@ def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
     if real.size:
         # one Newton polish against the untrimmed cubic
         pv = np.polynomial.polynomial.polyval
-        dden = np.polynomial.polynomial.polyder(den)
-        slope = pv(real, dden)
+        slope = pv(real, den[1:] * (1.0, 2.0, 3.0))  # the cubic's derivative
         step = np.where(slope != 0.0, pv(real, den) / np.where(slope == 0.0, 1.0, slope), 0.0)
         real = real - step
     return np.sort(real)
@@ -141,17 +107,41 @@ def singular_mask(spec: EqualVarSpec, t: float, x):
 
 
 def _coeffs_raw(nu_v, nu_w, rho, t, x):
-    """(D, C, S, denom, denom_scale, dD/dx) arrays; C and dD/dx use the quotient rule."""
-    co = _poly_coeff_arrays(nu_v, nu_w, rho)
-    pv = np.polynomial.polynomial.polyval
-    p1 = pv(x, co["p1"])
-    p2 = pv(x, co["p2"])
-    p3 = pv(x, co["p3"])
-    q1 = pv(x, co["q1"])
-    q2 = pv(x, co["q2"])
-    dp3 = pv(x, co["dp3"])
-    dq1 = pv(x, co["dq1"])
-    dq2 = pv(x, co["dq2"])
+    """(D, C, S, denom, denom_scale, dD/dx) arrays; C and dD/dx use the quotient rule.
+
+    P1..Q2 are evaluated from their factored forms in u = x - rho, with
+    s = (1 - rho) (1 + rho), k = nu_w - nu_v rho, d = nu_w - nu_v x and
+    q = u^2 + s = x^2 - 2 rho x + 1:
+
+      P1 = -2 s d^2 (nu_v s + k u)
+      P2 = q (k u (8 s - 3 u^2) + nu_v s (2 s - 9 u^2))
+      P3 = q^2 c,  c = k (s - u^2) - 2 nu_v s u
+      Q1 = 2 s k d^2
+      Q2 = -2 s (k (4 u^2 + s) - 3 nu_v u^3)
+
+    and dP3, dQ1, dQ2 by the product rule; S takes the same s and k. Near
+    x = rho -> 1 neither q nor s cancels; the expanded monomial coefficients
+    (oracles._poly_coeff_arrays) do, and give D and dD/dx only to about 1e-3
+    relative at rho = 0.9998, t = 3e-5.
+    """
+    x = np.asarray(x, dtype=float)
+    s = (1.0 - rho) * (1.0 + rho)
+    k = nu_w - nu_v * rho
+    u = x - rho
+    uu = u * u
+    q = uu + s
+    d = nu_w - nu_v * x
+    dd = d * d
+    c = k * (s - uu) - 2.0 * nu_v * s * u
+    p1 = -2.0 * s * dd * (nu_v * s + k * u)
+    p2 = q * (k * u * (8.0 * s - 3.0 * uu) + nu_v * s * (2.0 * s - 9.0 * uu))
+    p3 = q * q * c
+    q1 = 2.0 * s * k * dd
+    q2 = -2.0 * s * (k * (4.0 * uu + s) - 3.0 * nu_v * uu * u)
+    # q' = 2 u and c' = -2 (k u + nu_v s)
+    dp3 = q * (4.0 * u * c - 2.0 * q * (k * u + nu_v * s))
+    dq1 = -4.0 * s * k * nu_v * d
+    dq2 = -2.0 * s * u * (8.0 * k - 9.0 * nu_v * u)
 
     den = q1 + t * q2
     den_scale = np.maximum(np.abs(q1), np.abs(t * q2))
@@ -163,17 +153,22 @@ def _coeffs_raw(nu_v, nu_w, rho, t, x):
         quot = p3 * (dq1 + t * dq2) / (den * den)
         conv = (p1 + t * p2) / (t * den) - dp3_den + quot
         diff_x = dp3_den - quot
-    src = (nu_v * nu_v + nu_w * nu_w - 2.0 * rho * nu_v * nu_w) / (
-        2.0 * t * t * (1.0 - rho * rho)
-    ) - 1.0 / t
+    # nu_v^2 + nu_w^2 - 2 rho nu_v nu_w, as k^2 + nu_v^2 s, does not cancel either
+    src = (k * k + nu_v * nu_v * s) / (2.0 * t * t * s) - 1.0 / t
     return diff, conv, src, den, den_scale, diff_x
 
 
 def pde_coefficients(spec: EqualVarSpec, x) -> tuple:
     """(D, C, S, dD/dx) as floats at scalar x and t = spec.t.
 
-    SingularPointError where the denominator vanishes to within EPS_DENOM.
+    ValueError for nu_v == 0, where the denominator cubic Q1 + t Q2 loses its
+    x^3 term; SingularPointError where it vanishes to within EPS_DENOM.
     """
+    if spec.nu_v == 0.0:
+        raise ValueError(
+            "the evolution-equation coefficients need nu_v != 0: "
+            "there the denominator cubic Q1 + t Q2 degenerates to a quadratic"
+        )
     xf = float(x)
     d, c, s, den, scale, d_x = _coeffs_raw(spec.nu_v, spec.nu_w, spec.rho, spec.t, xf)
     if abs(den) <= EPS_DENOM * scale:

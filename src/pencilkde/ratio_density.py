@@ -333,12 +333,9 @@ def _derivs_erf_raw(x, t, nu_v, nu_w, rho):
 def derivatives(spec: EqualVarSpec, x):
     """Closed-form (h_t, h_x, h_xx) of the equal-variance density (_derivs_erf_raw).
 
-    The zero-mean-denominator case nu_v == 0 is rejected. The erf form is
-    defined there, but the evolution-equation residual, which calls this,
-    rejects that case through this check.
+    Defined for every mean, the zero-mean denominator nu_v == 0 included; the
+    evolution-equation coefficients, not these derivatives, reject that case.
     """
-    if spec.nu_v == 0.0:
-        raise ValueError("derivative closed forms require nu_v != 0")
     x_arr = np.asarray(x, dtype=float)
     h_t, h_x, h_xx = _derivs_erf_raw(x_arr, spec.t, spec.nu_v, spec.nu_w, spec.rho)
     if x_arr.ndim == 0:

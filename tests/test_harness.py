@@ -1171,6 +1171,16 @@ class TestCli:
         assert err.startswith("error: tau must be finite and positive") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["density", "pde-check"])
+    def test_grid_that_does_not_increase(self, command):
+        # three points one ulp apart: x = 0.7 came out twice (exit 0), a table modes rejects
+        code, out, err = run_cli(
+            [command, "--t=0.01", "--nu-w=0.9", "--xmin=0.7", "--xmax=0.7000000000000001",
+             "--points=3"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the grid from 0.7 ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["density", "pde-check"])
     def test_points_above_max_points(self, command):
         # the grid is refused before np.linspace allocates it
         code, out, err = run_cli(

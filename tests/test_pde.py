@@ -6,12 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from pencilkde.oracles import _poly_terms, g_coefficients, residual
+from pencilkde.oracles import _poly_coeff_arrays, _poly_terms, g_coefficients, residual
 from pencilkde.pde import (
     SingularPointError,
     _coeffs_raw,
     _diffusion_at_centers,
-    _poly_coeff_arrays,
     cubic_real_roots,
     pde_coefficients,
     singular_mask,
@@ -23,6 +22,17 @@ from conftest import random_equal_var_spec, term_relative_residual
 
 def polyval(coeffs, x):
     return np.polynomial.polynomial.polyval(x, coeffs)
+
+
+def expanded_coeffs(nu_v, nu_w, rho, t, x):
+    """(D, C, dD/dx) from the expanded coefficient arrays by the quotient rule; any number type."""
+    co = _poly_coeff_arrays(nu_v, nu_w, rho)
+    p1, p2, p3, q1, q2, dp3, dq1, dq2 = (
+        polyval(co[name], x) for name in ("p1", "p2", "p3", "q1", "q2", "dp3", "dq1", "dq2")
+    )
+    den = q1 + t * q2
+    d_x = dp3 / den - p3 * (dq1 + t * dq2) / (den * den)
+    return p3 / den, (p1 + t * p2) / (t * den) - d_x, d_x
 
 
 def full_cubic(spec):
@@ -187,6 +197,31 @@ class TestPdeCoefficients:
                 continue
             assert all(map(math.isfinite, pde_coefficients(spec, x)))
 
+    @pytest.mark.parametrize(
+        "nu_w,rho,t,lo,hi",
+        [
+            # model2's rho_hat and a t* of its cap seeds, across and below the mean ratio
+            (0.91, 0.9998, 3e-5, 0.95, 1.05),
+            (0.91, 0.9998, 3e-5, 0.85, 0.96),
+            # model1's rho_hat and t*
+            (0.9, 0.9996, 0.012, 0.75, 1.0),
+        ],
+    )
+    def test_factored_forms_against_60_digits(self, nu_w, rho, t, lo, hi):
+        # the expanded coefficients in doubles erred here by up to 1.2e-3 (D, first grid)
+        spec = EqualVarSpec(nu_v=1.0, nu_w=nu_w, rho=rho, t=t)
+        x = np.linspace(lo, hi, 201)
+        x = x[~singular_mask(spec, t, x)]
+        d, c, _, _, _, d_x = _coeffs_raw(1.0, nu_w, rho, t, x)
+        worst = np.zeros(3)
+        with mpmath.workdps(60):
+            args = (mpmath.mpf(1), mpmath.mpf(nu_w), mpmath.mpf(rho), mpmath.mpf(t))
+            for i, xk in enumerate(x.tolist()):
+                want = expanded_coeffs(*args, mpmath.mpf(xk))
+                for j, (g, w) in enumerate(zip((d[i], c[i], d_x[i]), want)):
+                    worst[j] = max(worst[j], abs(float(g / w) - 1.0))
+        assert np.all(worst <= 1e-9), worst
+
 
 def moderate_draws(seed, n):
     rng = np.random.default_rng(seed)
@@ -281,8 +316,8 @@ class TestDiffusionAtCenters:
     )
     @pytest.mark.parametrize("t", [1e-3, 0.0121, 0.0625])
     def test_matches_coeffs_raw(self, rho, t):
-        # _coeffs_raw's D, evaluated in 60-digit arithmetic; in doubles it cancels
-        # near x = rho = 1
+        # D of the expanded coefficient arrays, evaluated in 60-digit arithmetic; in
+        # doubles it cancels near x = rho = 1
         rng = np.random.default_rng(7)
         # pencil ratios near the decay factors, a wide spread, and the centres
         # x == rho, where Q2 vanishes, and x = 0, +-1
@@ -295,7 +330,7 @@ class TestDiffusionAtCenters:
         with mpmath.workdps(60):
             one, r, tm = mpmath.mpf(1), mpmath.mpf(rho), mpmath.mpf(t)
             for xk, dk in zip(x[x != rho].tolist(), got[x != rho].tolist()):
-                want = _coeffs_raw(one, mpmath.mpf(xk), r, tm, mpmath.mpf(xk))[0]
+                want = expanded_coeffs(one, mpmath.mpf(xk), r, tm, mpmath.mpf(xk))[0]
                 worst = max(worst, abs(float(dk / want) - 1.0))
         assert worst <= 1e-14
 
@@ -350,6 +385,19 @@ class TestResidual:
         spec = EqualVarSpec(nu_v=0.0, nu_w=1.0, rho=0.0, t=0.5)
         with pytest.raises(ValueError):
             residual(spec, 0.3)
+
+    @pytest.mark.parametrize(
+        "nu_w,rho,t,lo,hi",
+        [
+            (0.9, 0.99999999, 0.01, 0.7, 1.1),
+            (0.91, 0.9998, 3e-5, 0.85, 0.96),
+            (0.9, 0.9996, 0.012, 0.75, 1.0),
+        ],
+    )
+    def test_near_unit_correlation(self, nu_w, rho, t, lo, hi):
+        # the expanded coefficients left about 3e-9 here
+        spec = EqualVarSpec(nu_v=1.0, nu_w=nu_w, rho=rho, t=t)
+        assert term_relative_residual(spec, np.linspace(lo, hi, 201)) <= 1e-11
 
     def test_singular_point_raises(self):
         spec = EqualVarSpec(nu_v=1.0, nu_w=0.9, rho=0.2, t=0.05)

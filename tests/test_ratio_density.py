@@ -398,9 +398,20 @@ class TestDerivatives:
         _, h_x, _ = derivatives(spec, 0.0)
         assert abs(h_x) <= 1e-14
 
-    def test_rejects_zero_nu_v(self):
-        with pytest.raises(ValueError):
-            derivatives(EqualVarSpec(nu_v=0.0, nu_w=1.0, rho=0.0, t=1.0), 0.0)
+    def test_zero_nu_v_matches_finite_differences(self):
+        # the erf form holds at a zero-mean denominator; only the evolution
+        # equation's coefficients reject nu_v == 0
+        nu_v, nu_w, rho, t = 0.0, 0.8, 0.4, 0.3
+        spec = EqualVarSpec(nu_v=nu_v, nu_w=nu_w, rho=rho, t=t)
+        h = lambda xx, tt: _h_erf_raw(xx, tt, nu_v, nu_w, rho)
+        x = np.linspace(-3.0, 3.0, 241)
+        h_t, h_x, h_xx = derivatives(spec, x)
+        ex, et = 1e-5, 1e-5 * t
+        fd_x = (h(x + ex, t) - h(x - ex, t)) / (2 * ex)
+        fd_t = (h(x, t + et) - h(x, t - et)) / (2 * et)
+        fd_xx = (derivatives(spec, x + ex)[1] - derivatives(spec, x - ex)[1]) / (2 * ex)
+        for got, fd in ((h_x, fd_x), (h_t, fd_t), (h_xx, fd_xx)):
+            assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(got))
 
     def test_underflowed_density_has_zero_derivatives(self):
         # the prefactor e^(z-c) is 0.0 while a moment coefficient overflows
