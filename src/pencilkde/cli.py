@@ -24,10 +24,7 @@ from .harness import (
     ExperimentConfig,
     PhaseError,
     _csv,
-    _fit_params,
-    _metadata_json,
     _mode_payload,
-    _modes_json,
     available_cpus,
     decompose_records,
     decompose_workers,
@@ -35,6 +32,7 @@ from .harness import (
     estimate_pipeline,
     run,
     sample_from_pairs,
+    write_estimate,
 )
 from .kde import (
     MAX_POINTS,
@@ -166,29 +164,9 @@ def _cmd_estimate(args) -> int:
     pairs = decompose_records(dataset.data.__getitem__, len(dataset.data), threads)
     sample, counts = sample_from_pairs(pairs)
     result = estimate_pipeline(sample, window, args.points, args.tau, args.method)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = result[args.method]
-    _write_rows(out / "density.csv", ["x", "density"], zip(grid.x, grid.y))
-    modes = result["modes_" + args.method]
-    (out / "modes.json").write_text(_modes_json(modes))
-    params = {
-        "counts": counts,
-        "method": args.method,
-        "rho_hat": result["rho_hat"],
-        "skipped_components": result["skipped_components"],
-        **_fit_params(result["fit"]),
-        "t_star": result["t_star"],
-        "t_plus": result["t_plus"],
-    }
-    (out / "params.json").write_text(json.dumps(params, sort_keys=True, indent=2) + "\n")
-    workers = decompose_workers(threads, len(dataset.data))
-    (out / "metadata.json").write_text(
-        _metadata_json(result["fit"], result["gaussian_plan"], result["proposed"],
-                       threads=threads, workers=workers, qz=pencil.QZ)
-    )
-    print(f"modes: {json.dumps(_mode_payload(modes))}")
+    write_estimate(result, counts, args.method, args.out, threads=threads,
+                   workers=decompose_workers(threads, len(dataset.data)), qz=pencil.QZ)
+    print(f"modes: {json.dumps(_mode_payload(result['modes_' + args.method]))}")
     return EXIT_OK
 
 

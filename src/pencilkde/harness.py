@@ -13,6 +13,7 @@ count.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ from .kde import (
     DensityGrid,
     EigenSample,
     FitResult,
-    GaussianPlan,
+    GaussianGrid,
     ProposedGrid,
     RatioSample,
     _bin_grid,
@@ -42,7 +43,6 @@ from .kde import (
     fit_reference,
     gaussian_bandwidth,
     gaussian_estimate,  # not called here; perfbench's tracer wraps it by this name
-    gaussian_plan,
     pooled_correlation,
     proposed_estimate,
 )
@@ -59,6 +59,7 @@ __all__ = [
     "PhaseError",
     "run",
     "emit",
+    "write_estimate",
     "available_cpus",
     "decompose_workers",
     "decompose_records",
@@ -85,22 +86,39 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
+def _real(value) -> float:
+    """A JSON number as a float; TypeError for a boolean, a string or any other value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value, such as 250 or 1e4, as an int."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _signal_model(value) -> SignalModel:
     """The SignalModel of a config's "model" object; n "auto" (or absent) runs select_n."""
     m = dict(value)
+    zeta, f = (tuple(map(_real, m[key])) for key in ("zeta", "f"))
+    sigma = _real(m["sigma"])
     n = m.get("n", "auto")
-    n = select_n(m["zeta"], m["f"], m["sigma"]) if n == "auto" else int(n)
-    return SignalModel(zeta=tuple(m["zeta"]), f=tuple(m["f"]), sigma=float(m["sigma"]), n=n)
+    n = select_n(zeta, f, sigma) if n == "auto" else _integer(n)
+    return SignalModel(zeta=zeta, f=f, sigma=sigma, n=n)
 
 
 def _pair(value) -> tuple:
     lo, hi = value
-    return float(lo), float(hi)
+    return _real(lo), _real(hi)
 
 
 # config key -> converter of its JSON value
-_CONFIG_KEYS = {"model": _signal_model, "R": int, "N_ref": int, "window": _pair,
-                "points": int, "tau": float, "seed": int, "method": str, "threads": int}
+_CONFIG_KEYS = {"model": _signal_model, "R": _integer, "N_ref": _integer, "window": _pair,
+                "points": _integer, "tau": _real, "seed": _integer, "method": str,
+                "threads": _integer}
 
 
 def _convert(key: str, value):
@@ -180,7 +198,7 @@ class ExperimentReport:
     config: ExperimentConfig
     reference: DensityGrid
     empirical: DensityGrid
-    gaussian: DensityGrid | None
+    gaussian: GaussianGrid | None
     proposed: ProposedGrid | None
     fit: FitResult | None
     rho_hat: float | None
@@ -191,14 +209,11 @@ class ExperimentReport:
     skipped_components: int
     counts: dict
     timings: dict = field(default_factory=dict)
-    # the decomposition's threads, its QZ and T^-1 H bindings, how many records
-    # decomposed which way, and how the Gaussian estimate was evaluated, for
-    # metadata.json
+    # for metadata.json: decomposition threads, QZ and T^-1 H bindings, records by path
     workers: int = 1
     qz: str = ""
     hqr: str | None = None
     decomposition: dict = field(default_factory=dict)
-    gaussian_plan: GaussianPlan | None = None
     # the first R records' eigenvalues, which both estimates smooth
     sample: EigenSample | None = None
 
@@ -283,18 +298,18 @@ def _ratio_sample(records: list) -> tuple:
 def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, method: str):
     """Fit, bandwidths, estimates, and modes from a decomposed sample.
 
-    Returns a dict with keys empirical, gaussian, gaussian_plan, proposed,
-    fit, rho_hat, t_star, t_plus, modes_gaussian, modes_proposed,
-    skipped_components. The Gaussian estimate is the binned one
-    (binned_gaussian_estimate); gaussian_plan says how it was evaluated. The
-    bound OpenBLAS runs on one thread meanwhile, so the fit's and the
-    correlation's matrix products have the same bits on any machine.
+    Returns a dict with keys empirical, gaussian, proposed, fit, rho_hat,
+    t_star, t_plus, modes_gaussian, modes_proposed, skipped_components. The
+    Gaussian estimate is the binned one (binned_gaussian_estimate), whose grid
+    carries the plan that evaluated it. The bound OpenBLAS runs on one thread
+    meanwhile, so the fit's and the correlation's matrix products have the
+    same bits on any machine.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     with pencil.one_blas_thread():
-        out: dict = dict.fromkeys(("gaussian", "gaussian_plan", "proposed", "fit", "rho_hat",
-                                   "t_star", "t_plus", "modes_gaussian", "modes_proposed"))
+        out: dict = dict.fromkeys(("gaussian", "proposed", "fit", "rho_hat", "t_star", "t_plus",
+                                   "modes_gaussian", "modes_proposed"))
         out["skipped_components"] = 0
         h_emp = empirical_density(sample, window, points)
         out["empirical"] = h_emp
@@ -302,7 +317,6 @@ def estimate_pipeline(sample: EigenSample, window, points: int, tau: float, meth
         if method in ("gaussian", "both"):
             out["t_plus"] = gaussian_bandwidth(sample)
             out["gaussian"] = binned_gaussian_estimate(sample, grid_x, out["t_plus"])
-            out["gaussian_plan"] = gaussian_plan(grid_x, out["t_plus"])
             out["modes_gaussian"] = extract_modes(out["gaussian"], tau)
         if method in ("proposed", "both"):
             out["fit"] = fit_reference(h_emp)
@@ -386,20 +400,9 @@ def _mode_payload(modes) -> list | None:
     return None if modes is None else [{"x": m.x, "height": m.height} for m in modes]
 
 
-def _modes_json(modes) -> str:
-    """modes.json text: the mode list on one line."""
-    return json.dumps(_mode_payload(modes), sort_keys=True) + "\n"
-
-
-def _fit_params(fit: FitResult | None) -> dict:
-    """The reference fit's t0, mu0 and rho0 for params.json; None without a fit."""
-    return {name: None if fit is None else getattr(fit, name) for name in ("t0", "mu0", "rho0")}
-
-
-def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
-                   proposed: ProposedGrid | None, **facts) -> str:
-    """metadata.json text: facts, the erf binding and versions, and the fit's and both
-    estimates' diagnostics if any."""
+def _metadata(est, **facts) -> dict:
+    """metadata.json's object: facts, the erf binding and versions, and the fit's and both
+    estimates' diagnostics if any, from a mapping with estimate_pipeline's keys."""
     metadata = {
         **facts,
         "erf": ERF,
@@ -410,6 +413,7 @@ def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
             "pencilkde": _pkg_version,
         },
     }
+    fit, gaussian, proposed = est["fit"], est["gaussian"], est["proposed"]
     if fit is not None:
         metadata["fit"] = {
             "nfev": list(fit.nfev),
@@ -419,7 +423,7 @@ def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
             "search_bins": fit.search_bins,
         }
     if gaussian is not None:
-        metadata["gaussian"] = asdict(gaussian)
+        metadata["gaussian"] = asdict(gaussian.plan)
     if proposed is not None:
         peak = float(proposed.y.max(initial=0.0))
         metadata["proposed"] = {
@@ -429,7 +433,7 @@ def _metadata_json(fit: FitResult | None, gaussian: GaussianPlan | None,
             # what the kernel cut may have moved any point by, as a share of the peak
             "bound_rel_peak": proposed.bound / peak if peak > 0.0 else None,
         }
-    return json.dumps(metadata, sort_keys=True, indent=2) + "\n"
+    return metadata
 
 
 def _csv(header, rows) -> str:
@@ -439,61 +443,77 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_artifacts(out_dir, csv_name, columns, est, params, modes, **facts) -> list:
+    """Write csv_name, modes.json, params.json and metadata.json into out_dir.
+
+    columns maps each CSV column's name to its values, and est is a mapping
+    with estimate_pipeline's keys: its fit's t0, mu0 and rho0 (None without a
+    fit), rho_hat, t_star, t_plus and skipped_components join params, and its
+    diagnostics join facts in metadata.json. out_dir is made if absent and
+    each file written once; an OSError becomes PhaseError("emit") naming the
+    directory or the file. Returns the written paths.
+    """
+    fit = est["fit"]
+    shared = {k: est[k] for k in ("rho_hat", "t_star", "t_plus", "skipped_components")}
+    shared.update((k, None if fit is None else getattr(fit, k)) for k in ("t0", "mu0", "rho0"))
+    texts = {
+        csv_name: _csv(columns, zip(*columns.values())),
+        "modes.json": json.dumps(_mode_payload(modes), sort_keys=True) + "\n",
+        "params.json": json.dumps(params | shared, sort_keys=True, indent=2) + "\n",
+        "metadata.json": json.dumps(_metadata(est, **facts), sort_keys=True, indent=2) + "\n",
+    }
+    out, written = Path(out_dir), []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            written.append(out / name)
+            written[-1].write_text(text)
+    except OSError as exc:
+        what = f"write {written[-1]}" if written else f"create {out}"
+        raise PhaseError("emit", RuntimeError(f"cannot {what}: {exc}")) from exc
+    return written
+
+
 def emit(report: ExperimentReport, out_dir) -> list:
     """Write densities.csv, modes.json, params.json, metadata.json.
 
     Pure function of the report: identical reports produce identical bytes.
     Returns the written paths.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PhaseError("emit", RuntimeError(f"cannot create {out}: {exc}")) from exc
-
     cfg = report.config
     nan_col = np.full(cfg.points, np.nan)
-    columns = [
-        report.reference.x,
-        report.reference.y,
-        report.empirical.y,
-        report.gaussian.y if report.gaussian is not None else nan_col,
-        report.proposed.y if report.proposed is not None else nan_col,
-    ]
-
-    written = []
-
-    def _write(path: Path, text: str):
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise PhaseError("emit", RuntimeError(f"cannot write {path}: {exc}")) from exc
-        written.append(path)
-
-    header = ["x", "reference", "empirical", "gaussian", "proposed"]
-    _write(out / "densities.csv", _csv(header, zip(*columns)))
-
-    _write(out / "modes.json", _modes_json(report.modes))
-
+    columns = {
+        "x": report.reference.x,
+        "reference": report.reference.y,
+        "empirical": report.empirical.y,
+        "gaussian": report.gaussian.y if report.gaussian is not None else nan_col,
+        "proposed": report.proposed.y if report.proposed is not None else nan_col,
+    }
     params = {
         # threads changes no result and its default is the machine's: metadata.json has it
         "config": {k: v for k, v in cfg.to_dict().items() if k != "threads"},
         "p": cfg.model.n // 2,
-        **_fit_params(report.fit),
         "fit_objective": None if report.fit is None else report.fit.objective,
-        "rho_hat": report.rho_hat,
-        "t_star": report.t_star,
-        "t_plus": report.t_plus,
-        "skipped_components": report.skipped_components,
         "counts": report.counts,
         "modes_gaussian": _mode_payload(report.modes_gaussian),
         "modes_proposed": _mode_payload(report.modes_proposed),
     }
-    _write(out / "params.json", json.dumps(params, sort_keys=True, indent=2) + "\n")
+    return _write_artifacts(
+        out_dir, "densities.csv", columns, vars(report), params, report.modes,
+        seed=cfg.seed, threads=cfg.threads, workers=report.workers, qz=report.qz,
+        hqr=report.hqr, decomposition=report.decomposition, timings=report.timings,
+    )
 
-    _write(out / "metadata.json", _metadata_json(
-        report.fit, report.gaussian_plan, report.proposed, seed=cfg.seed, threads=cfg.threads,
-        workers=report.workers, qz=report.qz, hqr=report.hqr,
-        decomposition=report.decomposition, timings=report.timings,
-    ))
-    return written
+
+def write_estimate(result: dict, counts: dict, method: str, out_dir, **facts) -> list:
+    """Write density.csv, modes.json, params.json, metadata.json of one method's estimate.
+
+    result is estimate_pipeline's dict, holding the estimate of method,
+    "gaussian" or "proposed"; counts is the sample's eigenvalue counts and
+    facts metadata.json's own entries. The files are written as emit writes
+    its own. Returns the written paths.
+    """
+    grid = result[method]
+    return _write_artifacts(out_dir, "density.csv", {"x": grid.x, "density": grid.y}, result,
+                            {"counts": counts, "method": method}, result["modes_" + method],
+                            **facts)

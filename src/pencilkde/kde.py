@@ -67,6 +67,7 @@ __all__ = [
     "gaussian_estimate",
     "GaussianPlan",
     "gaussian_plan",
+    "GaussianGrid",
     "binned_gaussian_estimate",
     "gaussian_bandwidth",
     "pooled_correlation",
@@ -319,7 +320,14 @@ def gaussian_plan(grid_x: np.ndarray, t: float) -> GaussianPlan:
     return GaussianPlan("binned", fft_len=_fft_length(nodes), refine=refine, reach_bins=reach)
 
 
-def binned_gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> DensityGrid:
+@dataclass
+class GaussianGrid(DensityGrid):
+    """binned_gaussian_estimate's mixture, with the plan that evaluated it, for metadata.json."""
+
+    plan: GaussianPlan
+
+
+def binned_gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) -> GaussianGrid:
     """gaussian_estimate on a uniform grid, by linear binning and one FFT convolution.
 
     The Gaussian kernel is shift-invariant, so the mixture is the convolution
@@ -335,14 +343,14 @@ def binned_gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) 
     transform's round-off in empty tails (about -1e-16 of the peak).
 
     The values differ from gaussian_estimate's by about 1e-6 of the peak.
-    Grids gaussian_plan gives the exact path get gaussian_estimate itself.
+    Grids gaussian_plan gives the exact path get gaussian_estimate's values.
     """
     if t <= 0.0:
         raise ValueError(f"bandwidth t must be positive, got {t}")
     grid_x = np.asarray(grid_x, dtype=float)
     plan = gaussian_plan(grid_x, t)
     if plan.path == "exact":
-        return gaussian_estimate(sample, grid_x, t)
+        return GaussianGrid(x=grid_x, y=gaussian_estimate(sample, grid_x, t).y, plan=plan)
     k, reach, size = plan.refine, plan.reach_bins, plan.fft_len
     n = grid_x.size
     h = (grid_x[-1] - grid_x[0]) / ((n - 1) * k)
@@ -362,7 +370,8 @@ def binned_gaussian_estimate(sample: EigenSample, grid_x: np.ndarray, t: float) 
     kernel[: reach + 1] = np.exp(offsets * offsets / (-2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     kernel[size - reach :] = kernel[reach:0:-1]
     conv = np.fft.irfft(np.fft.rfft(mass) * np.fft.rfft(kernel), size)
-    return DensityGrid(x=grid_x, y=np.maximum(conv[reach : reach + (n - 1) * k + 1 : k], 0.0))
+    y = np.maximum(conv[reach : reach + (n - 1) * k + 1 : k], 0.0)
+    return GaussianGrid(x=grid_x, y=y, plan=plan)
 
 
 def _quartiles(a: np.ndarray) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import EPS_DENOM, SingularPointError, _q_coeffs, _residual_row
+from .pde import EPS_DENOM, SingularPointError, _residual_row
 from .pencil import DecompositionError, RealPairs, _keep_real, _normalize_signs, _samples
 from .ratio_density import TWO_PI, EqualVarSpec, density_equal_var
 from .specfun import erf, erfc
@@ -609,6 +609,20 @@ def _derivs_raw(x, t, nu_v, nu_w, rho):
     h_xx = pref * ((axx + fxx * w2 + exx * w4) * lam2 + (fxx * w1 + exx * w3) * lam1)
     zero = pref == 0.0
     return tuple(np.where(zero, 0.0, v) for v in (h_t, h_x, h_xx))
+
+
+def _q_coeffs(nv, nw, r) -> tuple:
+    """Ascending coefficient lists of Q1 and Q2."""
+    s1 = 2.0 * (1.0 - r * r) * (nw - nv * r)
+    s2 = 2.0 * (r * r - 1.0)
+    q1 = [s1 * (nw * nw), s1 * (-2.0 * nv * nw), s1 * (nv * nv)]
+    q2 = [
+        s2 * (nw * (1.0 + 3.0 * r * r) - nv * r),
+        s2 * (-8.0 * nw * r - nv * r * r),
+        s2 * (4.0 * nw + 5.0 * nv * r),
+        s2 * (-3.0 * nv),
+    ]
+    return q1, q2
 
 
 def _poly_coeff_arrays(nv: float, nw: float, r: float) -> dict:

@@ -32,20 +32,6 @@ class SingularPointError(ArithmeticError):
     """Evaluation point too close to a real root of the denominator cubic."""
 
 
-def _q_coeffs(nv, nw, r) -> tuple:
-    """Ascending coefficient lists of Q1 and Q2."""
-    s1 = 2.0 * (1.0 - r * r) * (nw - nv * r)
-    s2 = 2.0 * (r * r - 1.0)
-    q1 = [s1 * (nw * nw), s1 * (-2.0 * nv * nw), s1 * (nv * nv)]
-    q2 = [
-        s2 * (nw * (1.0 + 3.0 * r * r) - nv * r),
-        s2 * (-8.0 * nw * r - nv * r * r),
-        s2 * (4.0 * nw + 5.0 * nv * r),
-        s2 * (-3.0 * nv),
-    ]
-    return q1, q2
-
-
 def _diffusion_at_centers(rho: float, t: float, x):
     """D = P3 / (Q1 + t Q2) of each unit-denominator pair at its own centre; NaN where x == rho.
 
@@ -65,16 +51,21 @@ def _diffusion_at_centers(rho: float, t: float, x):
 def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
     """Sorted real roots of the denominator Q1(x) + t Q2(x).
 
-    The leading coefficient vanishes when nu_v == 0, degenerating the cubic;
-    near-zero leading coefficients (relative to the largest) are trimmed
-    before root finding, and roots are polished with one Newton step.
+    In _coeffs_raw's u = x - rho, s = (1 - rho) (1 + rho) and
+    k = nu_w - nu_v rho the denominator is the cubic
+    2 s [3 t nu_v u^3 + k (nu_v^2 - 4 t) u^2 - 2 k^2 nu_v u + k (k^2 - t s)],
+    whose roots are found in u and returned as u + rho. The leading
+    coefficient vanishes when nu_v == 0, degenerating the cubic; near-zero
+    leading coefficients (relative to the largest) are trimmed before root
+    finding, and roots are polished with one Newton step.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    q1, q2 = (np.array(c) for c in _q_coeffs(spec.nu_v, spec.nu_w, spec.rho))
-    den = np.zeros(4)
-    den[: q1.size] += q1
-    den += t * q2
+    nv, rho = spec.nu_v, spec.rho
+    s = (1.0 - rho) * (1.0 + rho)
+    k = spec.nu_w - nv * rho
+    den = 2.0 * s * np.array([k * (k * k - t * s), -2.0 * k * k * nv, k * (nv * nv - 4.0 * t),
+                              3.0 * t * nv])
     if not np.all(np.isfinite(den)):
         raise FloatingPointError("the singular-point cubic has non-finite coefficients")
     scale = np.max(np.abs(den))
@@ -93,7 +84,7 @@ def cubic_real_roots(spec: EqualVarSpec, t: float) -> np.ndarray:
         slope = pv(real, den[1:] * (1.0, 2.0, 3.0))  # the cubic's derivative
         step = np.where(slope != 0.0, pv(real, den) / np.where(slope == 0.0, 1.0, slope), 0.0)
         real = real - step
-    return np.sort(real)
+    return np.sort(real) + rho
 
 
 def singular_mask(spec: EqualVarSpec, t: float, x):

@@ -6,9 +6,11 @@ Monte Carlo studies are shared module fixtures; everything else is direct
 arithmetic against independent oracles.
 """
 
+import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from conftest import random_equal_var_spec, random_general_spec, term_relative_r
 
 pytestmark = pytest.mark.acceptance
 
+CONFIGS = Path(__file__).parents[1] / "configs"
 MODEL1_TRUTH = np.array([0.8, 0.9, 0.95])
 MODEL2_TRUTH = np.array([0.88, 0.90, 0.91, 0.92, 0.94])
 
@@ -51,38 +54,19 @@ def _report(capsys, num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
+def shipped_config(name, **overrides):
+    """configs/<name>.json, the config the study script and perfbench read, with overrides."""
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    return ExperimentConfig.from_dict({**raw, **overrides})
+
+
 def model1_config(seed, threads=None):
     """The model1 study config; threads None keeps the default, every CPU."""
-    return ExperimentConfig.from_dict(
-        {
-            "model": {"zeta": [0.8, 0.9, 0.95], "f": [1, 1, 1], "sigma": 1.5e-3},
-            "R": 250,
-            "N_ref": 10_000,
-            "window": [0.75, 1.0],
-            "points": 256,
-            "tau": 2.0,
-            "seed": seed,
-            **({} if threads is None else {"threads": threads}),
-        }
-    )
+    return shipped_config("model1", seed=seed, **({} if threads is None else {"threads": threads}))
 
 
 def model2_config(seed):
-    return ExperimentConfig.from_dict(
-        {
-            "model": {
-                "zeta": [0.88, 0.90, 0.91, 0.92, 0.94],
-                "f": [1, 10, 10, 10, 1],
-                "sigma": 2e-9,
-            },
-            "R": 250,
-            "N_ref": 250,
-            "window": [0.85, 0.96],
-            "points": 8192,
-            "tau": 2.0,
-            "seed": seed,
-        }
-    )
+    return shipped_config("model2", seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +373,7 @@ def test_binned_gaussian_modes_are_the_exact_sums(model1_runs, model2_runs):
     # sum's as well
     for reports in (model1_runs[0], model2_runs[0]):
         for seed, report in reports.items():
-            assert report.gaussian_plan.path == "binned", seed
+            assert report.gaussian.plan.path == "binned", seed
             exact = gaussian_estimate(report.sample, report.empirical.x, report.t_plus)
             want = _mode_positions(extract_modes(exact, report.config.tau))
             assert np.array_equal(_mode_positions(report.modes_gaussian), want), seed

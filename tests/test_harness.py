@@ -481,6 +481,19 @@ class TestEmit:
         assert names == ["densities.csv", "metadata.json", "modes.json", "params.json"]
         assert all(p.exists() for p in written)
 
+    def test_unwritable_out_raises_phase_error(self, micro_report, tmp_path):
+        # a regular file where the directory goes, then a directory where a file goes
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        (tmp_path / "out" / "params.json").mkdir(parents=True)
+        cases = ((taken, f"cannot create {taken}"),
+                 (tmp_path / "out", f"cannot write {tmp_path / 'out' / 'params.json'}"))
+        for out, message in cases:
+            with pytest.raises(PhaseError) as info:
+                emit(micro_report, out)
+            assert info.value.phase == "emit" and isinstance(info.value.cause, RuntimeError)
+            assert str(info.value).startswith(f"phase 'emit': {message}: ")
+
     def test_densities_layout(self, micro_report, tmp_path):
         emit(micro_report, tmp_path)
         lines = (tmp_path / "densities.csv").read_text().splitlines()
@@ -558,7 +571,7 @@ class TestEmit:
 
     def test_gaussian_diagnostics_in_metadata_only(self, micro_report, tmp_path):
         emit(micro_report, tmp_path)
-        plan = micro_report.gaussian_plan
+        plan = micro_report.gaussian.plan
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["gaussian"] == {"path": "binned", "fft_len": plan.fft_len,
                                     "refine": plan.refine, "reach_bins": plan.reach_bins}
@@ -841,8 +854,18 @@ class TestCli:
             ("R", None),
             ("model", [1, 2]),
             ("window", 5),
+            ("R", 20.9),
+            ("seed", 3.7),
+            ("threads", True),
+            ("points", "64"),
+            ("tau", "0.5"),
+            ("model", {"zeta": [0.5, 0.9], "f": [1.0, 1.0], "sigma": 1e-3, "n": 8.9}),
+            ("model", {"zeta": [0.5, 0.9], "f": [1.0, 1.0], "sigma": "1e-3", "n": 8}),
+            ("window", ["0.3", 1.1]),
         ],
-        ids=["model-without-sigma", "R-null", "model-list", "window-number"],
+        ids=["model-without-sigma", "R-null", "model-list", "window-number", "R-fraction",
+             "seed-fraction", "threads-boolean", "points-string", "tau-string", "n-fraction",
+             "sigma-string", "window-string"],
     )
     def test_simulate_malformed_config_exits_two(self, key, value, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -1097,6 +1120,19 @@ class TestCli:
         assert (code, out, no_decompose) == (2, "", [])
         assert err.startswith(f"error: {'model n' if key == 'n' else key} must be <= ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_out_naming_a_file_exits_two(self, command, dataset_csv, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(micro_config_dict()))
+        args = {"simulate": [f"--config={cfg_path}"],
+                "estimate": [f"--data={dataset_csv}", "--window=0.3,1.1", "--points=64"]}
+        code, stdout, err = run_cli([command, *args[command], f"--out={out}"])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: phase 'emit': cannot create {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_estimate_ulp_wide_window_prints_one_line(self, dataset_csv, tmp_path):
         # the bin width rounded to 0.0 and numpy warned before the error line

@@ -464,7 +464,7 @@ class TestBinnedGaussian:
     def test_paper_configs_take_the_binned_path(self, paper_estimation):
         config, sample = paper_estimation
         est = estimate_pipeline(sample, config.window, config.points, config.tau, "gaussian")
-        plan = est["gaussian_plan"]
+        plan = est["gaussian"].plan
         assert plan == gaussian_plan(est["empirical"].x, est["t_plus"])
         assert plan.path == "binned" and plan.refine >= 1 and plan.reach_bins > 0
         assert config.points <= plan.fft_len <= kde.MAX_FFT
@@ -512,10 +512,12 @@ class TestBinnedGaussian:
         grid = kde._bin_grid((0.75, 1.0), kde.MAX_POINTS)[1]
         plan = gaussian_plan(grid, 1.232e-2)
         assert plan == kde.GaussianPlan("exact")
-        monkeypatch.setattr(kde, "gaussian_estimate", lambda sample, grid_x, t: "exact sum")
+        exact_sum = kde.DensityGrid(x=grid, y=np.full(grid.size, 0.5))
+        monkeypatch.setattr(kde, "gaussian_estimate", lambda sample, grid_x, t: exact_sum)
         monkeypatch.setattr(np.fft, "rfft", None)
         sample = single_replication([0.8, 0.9, 0.95])
-        assert binned_gaussian_estimate(sample, grid, 1.232e-2) == "exact sum"
+        got = binned_gaussian_estimate(sample, grid, 1.232e-2)
+        assert got.plan == plan and np.array_equal(got.y, exact_sum.y)
         # 64 times fewer points fit
         plan = gaussian_plan(kde._bin_grid((0.75, 1.0), kde.MAX_POINTS // 64)[1], 1.232e-2)
         assert plan.path == "binned" and plan.fft_len <= kde.MAX_FFT
